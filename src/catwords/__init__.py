@@ -55,9 +55,6 @@ from .polyring import (
     Variable,
     Z,
     letter,
-    poly_add,
-    poly_mul,
-    poly_specialize,
     series_div,
     series_from_poly,
     series_inverse,
@@ -103,9 +100,6 @@ __all__ = [
     "letter_gf_series",
     "letter_histogram",
     "monomial_multiset",
-    "poly_add",
-    "poly_mul",
-    "poly_specialize",
     "rational_form",
     "series_div",
     "series_from_poly",

@@ -12,16 +12,38 @@ counts Catalan words by length (powers of z) and by letter occurrences
 a formal tail symbol C multiplied onto the final quotient: substituting
 C -> 1 forbids letters larger than the depth, while substituting the Catalan
 series for C leaves them unrestricted and unweighted.
+
+## Per-letter series
+
+The closed form of one tracked letter is N/D with N = n0 + n1*C and
+D = d0 + d1*C, both linear in C, where n0, n1, d0, d1 lie in Z[z, V].  The
+Catalan series C satisfies z*C^2 - C + 1 = 0, so C and its conjugate C'
+satisfy C + C' = C*C' = 1/z.  Multiplying N and D by D' = d0 + d1*C' gives
+N/D = (A + B*C)/E with
+
+    A = (z*n0*d0 + n0*d1 + n1*d1) / z
+    B = n1*d0 - n0*d1
+    E = (z*d0^2 + d0*d1 + d1^2) / z
+
+Both z-divisions are exact because d1 carries a factor z.  A, B and E have
+z-degree about equal to the letter, so the series is A plus the short
+convolution of B with the Catalan numbers, followed by a long division by E
+that takes deg_z(E) terms per step.  E(0) = 1 - V is not a unit, but every
+coefficient of the quotient lies in Z[V], so each step divides exactly by
+1 - V.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .catalan import catalan_polynomial
+from .catalan import catalan_numbers, catalan_polynomial
 from .polyring import (
     C,
+    Monomial,
     Polynomial,
     PolynomialLike,
     Series,
@@ -239,16 +261,84 @@ def rational_form(letter_index: int) -> LetterGF:
     return LetterGF(letter_index, conv.h, conv.k)
 
 
+# The per-letter series keeps its V-polynomials as dense lists of ints indexed
+# by the power of V, with no trailing zeros (the zero polynomial is []).
+
+
+def _v_rows(p: Polynomial, z_shift: int = 0) -> list[list[int]]:
+    """Dense V-coefficients of p / z^z_shift, one row per power of z; p is in Z[z, V]."""
+    rows: list[list[int]] = []
+    for mono, coeff in p.sorted_terms():
+        zdeg = mono.degree(Z) - z_shift
+        if zdeg < 0:
+            raise ArithmeticError("division by z is not exact")
+        vdeg = mono.degree(V)
+        rows.extend([] for _ in range(zdeg + 1 - len(rows)))
+        rows[zdeg].extend([0] * (vdeg + 1 - len(rows[zdeg])))
+        rows[zdeg][vdeg] = coeff
+    return rows
+
+
+def _add_product(acc: list[int], p: list[int], q: list[int], sign: int = 1) -> None:
+    """acc += sign * p * q, in place (acc may be left with trailing zeros)."""
+    if not p or not q:
+        return
+    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for i, a in enumerate(p):
+        if a:
+            a *= sign
+            for j, b in enumerate(q):
+                acc[i + j] += a * b
+
+
+def _divide_one_minus_v(r: list[int]) -> list[int]:
+    """Exact quotient r / (1 - V): the running prefix sums of r."""
+    while r and not r[-1]:
+        r.pop()
+    quotient = list(accumulate(r))
+    if quotient and quotient.pop():
+        raise ArithmeticError("division by 1 - V leaves a remainder")
+    return quotient
+
+
 def letter_gf_series(letter_index: int, order: int) -> Series:
     """Series whose z^n coefficient records, per power of V, how many length-n
-    words contain the tracked letter exactly that many times."""
+    words contain the tracked letter exactly that many times.
+
+    Computed as (A + B*C)/E from the conjugate-rationalized closed form (see
+    the module docstring), in O(order * letter) V-polynomial operations.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     form = rational_form(letter_index)
-    sub = _tail_substitution(TAIL_CATALAN, order)
-    return expand_ratio(
-        form.numerator.specialize(sub), form.denominator.specialize(sub), order
-    )
+    if max(form.numerator.degree_in(C), form.denominator.degree_in(C)) > 1:
+        raise ArithmeticError("per-letter closed form must be linear in C")
+    n0 = form.numerator.specialize({C: 0})
+    n1 = form.numerator.specialize({C: 1}) - n0
+    d0 = form.denominator.specialize({C: 0})
+    d1 = form.denominator.specialize({C: 1}) - d0
+    a = _v_rows(_Z * n0 * d0 + (n0 + n1) * d1, z_shift=1)
+    b = _v_rows(n1 * d0 - n0 * d1)
+    e = _v_rows(_Z * d0 * d0 + (d0 + d1) * d1, z_shift=1)
+    if not e or e[0] != [1, -1]:
+        raise ArithmeticError("expected E(0) = 1 - V")
+
+    catalan = catalan_numbers(order)
+    monomials = [Monomial()]
+    recent: deque[list[int]] = deque(maxlen=len(e) - 1)  # series rows n-1, n-2, ...
+    coeffs: list[Polynomial] = []
+    for n in range(order + 1):
+        acc = list(a[n]) if n < len(a) else []
+        for j in range(min(n + 1, len(b))):
+            _add_product(acc, b[j], [catalan[n - j]])
+        for j in range(1, min(n + 1, len(e))):
+            _add_product(acc, e[j], recent[-j], -1)
+        row = _divide_one_minus_v(acc)
+        recent.append(row)
+        while len(monomials) < len(row):
+            monomials.append(Monomial({V: len(monomials)}))
+        coeffs.append(Polynomial({monomials[k]: c for k, c in enumerate(row) if c}))
+    return Series(coeffs)
 
 
 def bounded_letter_series(max_letter: int, order: int) -> Series:

@@ -1,6 +1,9 @@
 """Command-line front end: expansions, closed forms, enumeration, verification.
 
-Exit codes: 0 on success, 1 when verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
+when the output file cannot be written.  A reader that closes stdout early
+(``catwords enumerate --length 14 | head``) ends the run quietly with the
+status it would otherwise have had.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -369,5 +373,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = run_verify(args.max_length, args.letters)
         chunks = [render_verify(report, args.format)]
         status = 0 if report.ok else 1
-    _write_chunks(chunks, args.output)
+    try:
+        _write_chunks(chunks, args.output)
+    except OSError as exc:
+        if args.output is not None:
+            reason = exc.strerror or exc
+            print(f"catwords: error: cannot write {args.output}: {reason}", file=sys.stderr)
+            return 2
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # The reader closed stdout (e.g. `| head`).  Point the descriptor at
+        # the null device so that the flush at interpreter exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return status

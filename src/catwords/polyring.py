@@ -23,9 +23,6 @@ __all__ = [
     "Variable",
     "Z",
     "letter",
-    "poly_add",
-    "poly_mul",
-    "poly_specialize",
     "series_div",
     "series_from_poly",
     "series_inverse",
@@ -453,21 +450,6 @@ def _as_poly(value: object) -> Polynomial | None:
     if isinstance(value, int):
         return Polynomial.constant(value)
     return None
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Termwise sum in canonical form."""
-    return a + b
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Distributive product in canonical form."""
-    return a * b
-
-
-def poly_specialize(p: Polynomial, assignment: Mapping[Variable, PolynomialLike]) -> Polynomial:
-    """Simultaneous substitution; see Polynomial.specialize."""
-    return p.specialize(assignment)
 
 
 class Series:

@@ -1,8 +1,10 @@
 """Tests for convergents, tails, and the generating functions built from them."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from catwords.catalan import catalan_numbers, catalan_series
+from catwords.catalan import catalan_numbers, catalan_polynomial, catalan_series
 from catwords.cfrac import (
     TAIL_CATALAN,
     TAIL_ONE,
@@ -249,6 +251,28 @@ def test_letter_series_degree_bound(i):
 def test_letter_series_matches_histograms(n, i):
     series = letter_gf_series(i, n)
     assert series.coefficient(n) == letter_histogram(n, i).as_polynomial()
+
+
+def letter_series_by_dense_tail(i, order):
+    """Reference route: substitute the truncated Catalan polynomial for C and
+    divide the two dense series."""
+    form = rational_form(i)
+    tail = {C: catalan_polynomial(order)}
+    return expand_ratio(form.numerator.specialize(tail), form.denominator.specialize(tail), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 48))
+@example(12, 0)
+@example(7, 3)
+@example(12, 11)
+@example(1, 48)
+def test_letter_series_matches_dense_tail_route(i, order):
+    assert letter_gf_series(i, order) == letter_series_by_dense_tail(i, order)
+
+
+def test_letter_series_matches_dense_tail_route_at_order_128():
+    assert letter_gf_series(5, 128) == letter_series_by_dense_tail(5, 128)
 
 
 # -- closed rational forms ----------------------------------------------------------

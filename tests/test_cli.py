@@ -267,6 +267,32 @@ def test_parser_defaults():
     assert args.output is None
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["expand", "--letter", "1", "--order", "2", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("catwords: error: ")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_closed_stdout_ends_quietly():
+    # Like `catwords enumerate --length 11 | head -1`: 58,786 lines overflow
+    # the pipe buffer, so the writer meets a closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catwords", "enumerate", "--length", "11"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert first == b"11111111111\n"
+    assert stderr == b""
+    assert proc.returncode == 0
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "catwords", "rational", "--letter", "2"],
