@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -205,6 +206,11 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
         status = "pass" if expected == actual else "fail"
         checks.append(Check(description, status, str(expected), str(actual)))
 
+    # Truncation never changes lower coefficients, so each letter and bounded
+    # series is expanded once, at order max_length, and read at every n.
+    letter_series = {i: cfrac.letter_gf_series(i, max_length) for i in tracked}
+    heights = range(1, max_length + 1)
+    bounded_series = {h: cfrac.bounded_letter_series(h, max_length) for h in heights}
     cat = catalan.catalan_numbers(max_length)
     for n in range(1, max_length + 1):
         count = sum(1 for _ in oracle.enumerate_words(n))
@@ -218,12 +224,12 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
         for i in tracked:
             hist = oracle.letter_histogram(n, i)
             hist_text = "{" + ",".join(f"{k}:{v}" for k, v in sorted(hist.counts.items())) + "}"
-            series = cfrac.letter_gf_series(i, n)
+            series = letter_series[i]
             add(f"n={n},i={i} histogram {hist_text}", hist.as_polynomial(), series.coefficient(n))
 
         for h in range(1, n + 1):
             bounded = oracle.bounded_count(n, h)
-            series = cfrac.bounded_letter_series(h, n)
+            series = bounded_series[h]
             add(f"n={n},h={h} bounded count", Polynomial.constant(bounded), series.coefficient(n))
 
     for depth in range(1, min(max_length, 10) + 1):
@@ -348,14 +354,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_chunks(chunks: Iterable[str], path: str | None) -> None:
+    """Write to stdout, or replace the file at path only once every chunk is written."""
     if path is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         sys.stdout.flush()
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # A device or a pipe (say /dev/null) cannot be replaced: write through it.
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+        return
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".catwords-")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes it 0600; give open()'s mode
+            handle.writelines(chunks)
+            handle.flush()
+            os.fsync(fd)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -2,14 +2,20 @@
 
 Coefficients are Python ints, so nothing ever overflows or rounds.  The
 variables are the series marker ``z``, the standalone symbols ``V`` and ``C``,
-and the indexed letter variables ``v1, v2, ...``.  Every operation returns a
-canonical form (no stored zero coefficients, no zero exponents) and keeps
-terms in one fixed order, so printed and serialized output is deterministic.
+and the indexed letter variables ``v1, v2, ...``.  Each has a fixed slot,
+z = 0, C = 1, V = 2 and v_i = 2 + i, and a monomial is the tuple of its
+exponents by slot with no trailing zeros, so z^2*V*v1 is (2, 0, 1, 1).  Terms
+are sorted and serialized in slot order; printed monomials use a separate
+display order, z, V, v1, v2, ..., C.  Every operation returns a canonical form
+(no stored zero coefficients, no trailing zero exponents) and keeps terms in
+one fixed order, so printed and serialized output is deterministic.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+import re
+from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -38,51 +44,53 @@ class NonUnitConstantTerm(ValueError):
     """Series inversion needs the constant coefficient to be exactly 1."""
 
 
-_NAMED_SORT_RANKS = {"z": (0, 0), "C": (1, 0), "V": (2, 0)}
-_NAMED_DISPLAY_RANKS = {"z": (0, 0), "V": (1, 0), "C": (3, 0)}
+_NAMED_SLOTS = {"z": 0, "C": 1, "V": 2}
+_LETTER_NAME = re.compile("v[1-9][0-9]*")
+_DECIMAL = re.compile("-?[0-9]+")
 
 
-@total_ordering
+def _slot_name(slot: int) -> str:
+    return "zCV"[slot] if slot < 3 else f"v{slot - 2}"
+
+
+@dataclass(order=True, slots=True)
 class Variable:
-    """A formal variable, totally ordered z < C < V < v1 < v2 < ...
+    """A formal variable with a fixed slot: z = 0, C = 1, V = 2, v_i = 2 + i.
 
-    That order fixes how monomials are sorted and serialized.  Inside a
+    Variables are totally ordered by slot, z < C < V < v1 < v2 < ..., and
+    that order fixes how monomials are sorted and serialized.  Inside a
     printed monomial the factors appear in display order instead (z first,
     then V, then v1, v2, ..., then C), which is how these generating
     functions are conventionally written.
     """
 
-    __slots__ = ("name", "_sort_rank", "_display_rank")
+    slot: int
 
     def __init__(self, name: str) -> None:
-        if name in _NAMED_SORT_RANKS:
-            sort_rank = _NAMED_SORT_RANKS[name]
-            display_rank = _NAMED_DISPLAY_RANKS[name]
-        elif len(name) > 1 and name[0] == "v" and name[1:].isdigit() and name[1] != "0":
-            index = int(name[1:])
-            sort_rank = (3, index)
-            display_rank = (2, index)
-        else:
-            raise ValueError(f"invalid variable name: {name!r}")
-        self.name = name
-        self._sort_rank = sort_rank
-        self._display_rank = display_rank
+        slot = _NAMED_SLOTS.get(name)
+        if slot is None:
+            if not _LETTER_NAME.fullmatch(name):
+                raise ValueError(f"invalid variable name: {name!r}")
+            slot = 2 + int(name[1:])
+        self.slot = slot
+
+    @classmethod
+    def _at(cls, slot: int) -> "Variable":
+        var = object.__new__(cls)
+        var.slot = slot
+        return var
+
+    @property
+    def name(self) -> str:
+        return _slot_name(self.slot)
 
     @property
     def index(self) -> int | None:
         """Letter index for v1, v2, ...; None for z, V, C."""
-        return self._sort_rank[1] if self._sort_rank[0] == 3 else None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and other._sort_rank == self._sort_rank
-
-    def __lt__(self, other: "Variable") -> bool:
-        if not isinstance(other, Variable):
-            return NotImplemented
-        return self._sort_rank < other._sort_rank
+        return self.slot - 2 if self.slot > 2 else None
 
     def __hash__(self) -> int:
-        return hash(self._sort_rank)
+        return hash(self.slot)
 
     def __repr__(self) -> str:
         return self.name
@@ -97,102 +105,66 @@ def letter(i: int) -> Variable:
     """The variable v_i marking occurrences of letter i (i >= 1)."""
     if i < 1:
         raise ValueError(f"letter index must be >= 1, got {i}")
-    return Variable(f"v{i}")
+    return Variable._at(2 + i)
 
 
-# Sentinel that sorts after every variable rank, so that within one z-degree a
-# term with more remaining factors compares before a prefix of it.
-_TERM_KEY_SENTINEL = ((4, 0), 0)
+class Monomial(tuple):
+    """A product of variable powers: the exponents indexed by variable slot,
+    with no trailing zeros, so the empty tuple is the unit monomial."""
 
+    __slots__ = ()
 
-class Monomial:
-    """A product of variable powers; the empty product is the unit monomial."""
-
-    __slots__ = ("_powers", "_hash")
-
-    def __init__(
-        self, powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()
-    ) -> None:
-        merged = dict(powers)
-        for var, exp in merged.items():
+    def __new__(
+        cls, powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()
+    ) -> "Monomial":
+        exps: list[int] = []
+        for var, exp in dict(powers).items():
             if not isinstance(exp, int) or exp < 1:
                 raise ValueError(f"exponent of {var} must be a positive int, got {exp!r}")
-        ordered = tuple(sorted(merged.items(), key=lambda item: item[0]._sort_rank))
-        self._powers = ordered
-        self._hash = hash(ordered)
+            exps.extend([0] * (var.slot + 1 - len(exps)))
+            exps[var.slot] = exp
+        return tuple.__new__(cls, exps)
 
-    @classmethod
-    def _raw(cls, ordered: tuple[tuple[Variable, int], ...]) -> "Monomial":
-        assert all(exp > 0 for _, exp in ordered)  # canonical-form closure
-        mono = object.__new__(cls)
-        mono._powers = ordered
-        mono._hash = hash(ordered)
-        return mono
+    def __getnewargs__(self):  # pickle and copy rebuild a Monomial from its powers
+        return (self.powers,)
 
     @property
     def powers(self) -> tuple[tuple[Variable, int], ...]:
-        return self._powers
+        return tuple((Variable._at(slot), e) for slot, e in enumerate(self) if e)
 
     def is_unit(self) -> bool:
-        return not self._powers
+        return not self
 
     def degree(self, var: Variable) -> int:
-        for candidate, exp in self._powers:
-            if candidate == var:
-                return exp
-        return 0
+        return self[var.slot] if var.slot < len(self) else 0
 
     def times(self, other: "Monomial") -> "Monomial":
-        if not other._powers:
+        if len(self) < len(other):
+            self, other = other, self
+        if not other:
             return self
-        if not self._powers:
-            return other
-        left, right = self._powers, other._powers
-        out: list[tuple[Variable, int]] = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            lv, le = left[i]
-            rv, re = right[j]
-            if lv._sort_rank == rv._sort_rank:
-                out.append((lv, le + re))
-                i += 1
-                j += 1
-            elif lv._sort_rank < rv._sort_rank:
-                out.append(left[i])
-                i += 1
-            else:
-                out.append(right[j])
-                j += 1
-        out.extend(left[i:])
-        out.extend(right[j:])
-        return Monomial._raw(tuple(out))
+        return tuple.__new__(Monomial, (*map(add, self, other), *self[len(other) :]))
 
     def sort_key(self):
-        """Canonical term key: z-degree ascending, then remaining factors compared
-        variable-by-variable with higher exponents first."""
-        powers = self._powers
-        if powers and powers[0][0]._sort_rank == (0, 0):
-            zdeg = powers[0][1]
-            rest = powers[1:]
-        else:
-            zdeg = 0
-            rest = powers
-        return (zdeg, tuple((v._sort_rank, -e) for v, e in rest) + (_TERM_KEY_SENTINEL,))
+        """Canonical term key: z-degree ascending, then the remaining slots
+        compared in order with higher exponents first; the closing 1 outranks
+        every negated exponent, so a term sorts before each prefix of it."""
+        return (self[0] if self else 0, tuple([-e for e in self[1:]]) + (1,))
 
     def display_str(self) -> str:
-        if not self._powers:
-            return "1"
-        factors = sorted(self._powers, key=lambda item: item[0]._display_rank)
-        return "".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in factors)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and other._powers == self._powers
-
-    def __hash__(self) -> int:
-        return self._hash
+        factors = [*enumerate(self[:1]), *enumerate(self[2:], 2), *enumerate(self[1:2], 1)]
+        names = ((_slot_name(slot), e) for slot, e in factors if e)
+        return "".join(name if e == 1 else f"{name}^{e}" for name, e in names) or "1"
 
     def __repr__(self) -> str:
         return self.display_str()
+
+
+def _monomial(exps: list[int]) -> Monomial:
+    """The monomial with these exponents by slot (trailing zeros are dropped)."""
+    while exps and not exps[-1]:
+        exps.pop()
+    return tuple.__new__(Monomial, exps)
 
 
 _UNIT_MONOMIAL = Monomial()
@@ -259,10 +231,12 @@ class Polynomial:
         return self._terms.get(mono, 0)
 
     def variables(self) -> frozenset[Variable]:
-        return frozenset(v for mono in self._terms for v, _ in mono.powers)
+        slots = {slot for mono in self._terms for slot, e in enumerate(mono) if e}
+        return frozenset(map(Variable._at, slots))
 
     def degree_in(self, var: Variable) -> int:
-        return max((mono.degree(var) for mono in self._terms), default=0)
+        slot = var.slot
+        return max((mono[slot] for mono in self._terms if slot < len(mono)), default=0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical order used for printing and serialization."""
@@ -285,12 +259,7 @@ class Polynomial:
         if not self._terms:
             return other_poly
         acc = dict(self._terms)
-        for mono, coeff in other_poly._terms.items():
-            total = acc.get(mono, 0) + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
+        _accumulate(acc, other_poly._terms.items())
         return Polynomial._raw(acc)
 
     __radd__ = __add__
@@ -317,14 +286,10 @@ class Polynomial:
         if not self._terms or not other_poly._terms:
             return _ZERO
         acc: dict[Monomial, int] = {}
+        right = other_poly._terms.items()
         for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in other_poly._terms.items():
-                mono = mono_a.times(mono_b)
-                total = acc.get(mono, 0) + coeff_a * coeff_b
-                if total:
-                    acc[mono] = total
-                else:
-                    acc.pop(mono, None)
+            products = ((mono_a.times(mono_b), coeff_a * coeff_b) for mono_b, coeff_b in right)
+            _accumulate(acc, products)
         return Polynomial._raw(acc)
 
     __rmul__ = __mul__
@@ -333,14 +298,8 @@ class Polynomial:
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         result = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def specialize(self, assignment: Mapping[Variable, PolynomialLike]) -> "Polynomial":
@@ -352,15 +311,15 @@ class Polynomial:
         """
         if not assignment:
             return self
-        values: dict[Variable, Polynomial] = {}
+        values: dict[int, Polynomial] = {}
         for var, val in assignment.items():
             poly = _as_poly(val)
             if poly is None:
                 raise TypeError(f"assignment for {var} must be a Polynomial or int")
-            values[var] = poly
-        keyed = set(values)
-        for var, poly in values.items():
-            clash = poly.variables() & keyed
+            values[var.slot] = poly
+        keyed = set(assignment)
+        for var in assignment:
+            clash = values[var.slot].variables() & keyed
             if clash:
                 names = ", ".join(sorted(v.name for v in clash))
                 raise RecursiveAssignment(
@@ -368,17 +327,16 @@ class Polynomial:
                 )
         acc: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
-            kept = tuple(pw for pw in mono.powers if pw[0] not in keyed)
-            piece = Polynomial._raw({Monomial._raw(kept): coeff})
-            for var, exp in mono.powers:
-                if var in keyed:
-                    piece = piece * (values[var] ** exp)
-            for m, c in piece._terms.items():
-                total = acc.get(m, 0) + c
-                if total:
-                    acc[m] = total
-                else:
-                    acc.pop(m, None)
+            kept = list(mono)
+            factors = []
+            for slot, exp in enumerate(mono):
+                if exp and slot in values:
+                    kept[slot] = 0
+                    factors.append(values[slot] ** exp)
+            piece = Polynomial._raw({_monomial(kept): coeff})
+            for factor in factors:
+                piece = piece * factor
+            _accumulate(acc, piece._terms.items())
         return Polynomial._raw(acc)
 
     # -- comparison and rendering ----------------------------------------
@@ -427,7 +385,10 @@ class Polynomial:
 
     def to_json_obj(self) -> list:
         return [
-            {"coeff": str(coeff), "monomial": {v.name: e for v, e in mono.powers}}
+            {
+                "coeff": str(coeff),
+                "monomial": {_slot_name(slot): e for slot, e in enumerate(mono) if e},
+            }
             for mono, coeff in self.sorted_terms()
         ]
 
@@ -435,13 +396,33 @@ class Polynomial:
     def from_json_obj(cls, obj: list) -> "Polynomial":
         acc: dict[Monomial, int] = {}
         for item in obj:
-            mono = Monomial({Variable(name): int(exp) for name, exp in item["monomial"].items()})
-            acc[mono] = acc.get(mono, 0) + int(item["coeff"])
+            powers = {Variable(name): _json_int(e) for name, e in item["monomial"].items()}
+            mono = Monomial(powers)
+            acc[mono] = acc.get(mono, 0) + _json_int(item["coeff"], text=True)
         return cls(acc)
 
 
 _ZERO = Polynomial._raw({})
 _ONE = Polynomial._raw({_UNIT_MONOMIAL: 1})
+
+
+def _accumulate(
+    acc: dict[Monomial, int], terms: Iterable[tuple[Monomial, int]], sign: int = 1
+) -> None:
+    """acc += sign * terms, in place, dropping every coefficient that cancels to zero."""
+    for mono, coeff in terms:
+        total = acc.get(mono, 0) + sign * coeff
+        if total:
+            acc[mono] = total
+        else:
+            acc.pop(mono, None)
+
+
+def _json_int(value: object, text: bool = False) -> int:
+    """An int read from JSON; with text set, also a string of ASCII decimal digits."""
+    if type(value) is int or (text and isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _as_poly(value: object) -> Polynomial | None:
@@ -534,9 +515,6 @@ class Series:
         kept = self._coeffs[: max(size - k, 0)]
         return Series([_ZERO] * min(k, size) + list(kept))
 
-    def inverse(self) -> "Series":
-        return series_inverse(self)
-
     def specialize(self, assignment: Mapping[Variable, PolynomialLike]) -> "Series":
         """Apply a substitution to every coefficient (must stay z-free)."""
         return Series([c.specialize(assignment) for c in self._coeffs])
@@ -545,9 +523,8 @@ class Series:
         """Reassemble the truncation as a polynomial in z."""
         acc: dict[Monomial, int] = {}
         for n, coeff in enumerate(self._coeffs):
-            zpart = Monomial({Z: n}) if n else _UNIT_MONOMIAL
             for mono, value in coeff._terms.items():
-                acc[zpart.times(mono)] = value
+                acc[_monomial([n, *mono[1:]])] = value
         return Polynomial._raw(acc)
 
     # -- comparison and rendering ----------------------------------------
@@ -585,7 +562,7 @@ class Series:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Series":
         coeffs = [Polynomial.from_json_obj(item) for item in obj["coeffs"]]
-        if len(coeffs) != int(obj["order"]) + 1:
+        if len(coeffs) != _json_int(obj["order"]) + 1:
             raise ValueError("coefficient count does not match declared order")
         return cls(coeffs)
 
@@ -596,13 +573,11 @@ def series_from_poly(p: Polynomial, order: int) -> Series:
         raise ValueError(f"order must be >= 0, got {order}")
     buckets: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
     for mono, coeff in p._terms.items():
-        zdeg = mono.degree(Z)
-        if zdeg > order:
-            continue
-        rest = Monomial._raw(tuple(pw for pw in mono.powers if pw[0] != Z))
-        bucket = buckets[zdeg]
-        bucket[rest] = bucket.get(rest, 0) + coeff
-    return Series([Polynomial._raw({m: c for m, c in b.items() if c}) for b in buckets])
+        zdeg = mono[0] if mono else 0
+        if zdeg <= order:
+            # Distinct monomials of p differ off slot 0 when their z-degrees agree.
+            buckets[zdeg][_monomial([0, *mono[1:]])] = coeff
+    return Series([Polynomial._raw(b) for b in buckets])
 
 
 def series_mul(a: Series, b: Series) -> Series:
@@ -613,53 +588,24 @@ def series_mul(a: Series, b: Series) -> Series:
     for n in range(order + 1):
         acc: dict[Monomial, int] = {}
         for j in range(n + 1):
-            left = ac[j]
-            if left.is_zero():
-                continue
-            right = bc[n - j]
-            if right.is_zero():
-                continue
-            for mono, coeff in (left * right)._terms.items():
-                total = acc.get(mono, 0) + coeff
-                if total:
-                    acc[mono] = total
-                else:
-                    acc.pop(mono, None)
+            _accumulate(acc, (ac[j] * bc[n - j])._terms.items())
         out.append(Polynomial._raw(acc))
     return Series(out)
 
 
 def series_inverse(s: Series) -> Series:
-    """Invert a series with constant coefficient 1.
-
-    Uses the linear recurrence t_0 = 1, t_n = -sum_{j=1..n} s_j t_{n-j};
-    the result satisfies s * t == 1 exactly through the order of s.
-    """
+    """Invert a series with constant coefficient 1: the quotient 1 / s, so
+    that s * t == 1 exactly through the order of s."""
     if not s.coefficient(0).is_one():
         raise NonUnitConstantTerm("series inversion requires constant coefficient 1")
-    sc = s.coefficients
-    inv: list[Polynomial] = [_ONE]
-    for n in range(1, s.order + 1):
-        acc: dict[Monomial, int] = {}
-        for j in range(1, n + 1):
-            sj = sc[j]
-            if sj.is_zero():
-                continue
-            for mono, coeff in (sj * inv[n - j])._terms.items():
-                total = acc.get(mono, 0) + coeff
-                if total:
-                    acc[mono] = total
-                else:
-                    acc.pop(mono, None)
-        inv.append(Polynomial._raw({mono: -coeff for mono, coeff in acc.items()}))
-    return Series(inv)
+    return series_div(Series([_ONE] + [_ZERO] * s.order), s)
 
 
 def series_div(num: Series, den: Series) -> Series:
     """Quotient of two series; den must have constant coefficient 1.
 
     Long division q_n = num_n - sum_{j=1..n} den_j q_{n-j} gives the same
-    exact result as multiplying by series_inverse(den), but the intermediate
+    exact result as multiplying by the inverse of den, but the intermediate
     polynomials stay as small as the answer, which matters when the bare
     inverse would be far denser than the quotient.
     """
@@ -674,11 +620,6 @@ def series_div(num: Series, den: Series) -> Series:
             dj = dc[j]
             if dj.is_zero():
                 continue
-            for mono, coeff in (dj * quot[n - j])._terms.items():
-                total = acc.get(mono, 0) - coeff
-                if total:
-                    acc[mono] = total
-                else:
-                    acc.pop(mono, None)
+            _accumulate(acc, (dj * quot[n - j])._terms.items(), -1)
         quot.append(Polynomial._raw(acc))
     return Series(quot)

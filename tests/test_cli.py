@@ -1,9 +1,11 @@
 """CLI behavior: golden outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -301,3 +303,56 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "numerator: 1-zVC\ndenominator: 1-zVC-z\n"
+
+
+def test_failed_output_leaves_previous_file(tmp_path, monkeypatch):
+    import catwords.cli
+
+    def broken_stream(*args):
+        yield "partial\n"
+        raise RuntimeError("stream failed")
+
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    monkeypatch.setattr(catwords.cli, "iter_enumerate", broken_stream)
+    with pytest.raises(RuntimeError):
+        main(["enumerate", "--length", "3", "--output", str(target)])
+    assert target.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_output_replaces_file_and_writes_through_pipes(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n" * 100)
+    assert main(["enumerate", "--length", "3", "--output", str(target)]) == 0
+    assert target.read_bytes() == golden_bytes("enumerate_length3.txt")
+    # A named pipe, like a device, is written through rather than replaced.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["enumerate", "--length", "3", "--output", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [golden_bytes("enumerate_length3.txt")]
+    assert fifo.is_fifo()
+    assert sorted(tmp_path.iterdir()) == [target, fifo]
+
+
+def test_verify_expands_each_series_once(monkeypatch):
+    import catwords.cfrac
+
+    orders = []
+
+    def counted(original):
+        def expand(index, order):
+            orders.append(order)
+            return original(index, order)
+
+        return expand
+
+    for name in ("letter_gf_series", "bounded_letter_series"):
+        monkeypatch.setattr(catwords.cfrac, name, counted(getattr(catwords.cfrac, name)))
+    assert run_verify(4).ok
+    assert orders == [4] * (5 + 4)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import example
 from hypothesis import strategies as st
 
 from catwords.polyring import (
@@ -346,3 +347,79 @@ def test_inverse_roundtrip(tail):
     s = Series([ONE, *tail])
     assert s.order <= 20
     assert series_mul(s, series_inverse(s)) == one_series(s.order)
+
+
+# -- slot layout against the rank-based reference --------------------------------
+
+
+def test_variable_names_must_be_ascii():
+    for bad in ("v\u0663", "v\u00b9", "v\uff13", "v1\u0663", "v 3", "v3 ", "v+3", "v-3"):
+        with pytest.raises(ValueError):
+            Variable(bad)
+    assert Variable("v12") == letter(12)
+
+
+def test_from_json_rejects_inexact_numbers():
+    for bad in (
+        [{"coeff": 2.9, "monomial": {"z": 1.9}}],
+        [{"coeff": 2, "monomial": {"z": 1.9}}],
+        [{"coeff": 2.0, "monomial": {"z": 1}}],
+        [{"coeff": True, "monomial": {}}],
+        [{"coeff": "2", "monomial": {"V": True}}],
+        [{"coeff": "2.5", "monomial": {}}],
+        [{"coeff": "\u0663", "monomial": {}}],
+    ):
+        with pytest.raises(ValueError):
+            Polynomial.from_json_obj(bad)
+    with pytest.raises(ValueError):
+        Series.from_json_obj({"order": 0.5, "coeffs": [[]]})
+    obj = [{"coeff": 3, "monomial": {"z": 2}}, {"coeff": "-12", "monomial": {"V": 1}}]
+    assert Polynomial.from_json_obj(obj) == 3 * z**2 - 12 * Vp
+
+
+# The term order and display order as they were defined before variables had
+# slots: each variable has a sort rank and a display rank, and a term key
+# compares (rank, -exponent) pairs ended by a sentinel ranked after them all.
+REFERENCE_SORT_RANKS = {"z": (0, 0), "C": (1, 0), "V": (2, 0)}
+REFERENCE_DISPLAY_RANKS = {"z": (0, 0), "V": (1, 0), "C": (3, 0)}
+REFERENCE_SENTINEL = ((4, 0), 0)
+
+
+def reference_ranks(var):
+    if var.name in REFERENCE_SORT_RANKS:
+        return REFERENCE_SORT_RANKS[var.name], REFERENCE_DISPLAY_RANKS[var.name]
+    return (3, int(var.name[1:])), (2, int(var.name[1:]))
+
+
+def reference_sort_key(powers):
+    ranked = sorted((reference_ranks(var)[0], exp) for var, exp in powers.items())
+    if ranked and ranked[0][0] == (0, 0):
+        zdeg, rest = ranked[0][1], ranked[1:]
+    else:
+        zdeg, rest = 0, ranked
+    return (zdeg, tuple((rank, -exp) for rank, exp in rest) + (REFERENCE_SENTINEL,))
+
+
+def reference_display(powers):
+    factors = sorted(powers.items(), key=lambda item: reference_ranks(item[0])[1])
+    return "".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in factors) or "1"
+
+
+slot_variables = st.sampled_from([Z, C, V] + [letter(i) for i in range(1, 13)])
+power_maps = st.dictionaries(slot_variables, st.integers(1, 4), max_size=6)
+
+
+@given(st.lists(power_maps, max_size=10))
+@example([{Z: 3}, {C: 2}, {}, {Z: 1, C: 1}, {V: 1, letter(12): 2}, {Z: 1, letter(7): 1}])
+def test_slot_order_and_display_match_reference(maps):
+    unique = list({Monomial(powers): powers for powers in maps}.items())
+    by_slot = sorted(unique, key=lambda item: item[0].sort_key())
+    by_rank = sorted(unique, key=lambda item: reference_sort_key(item[1]))
+    assert [mono for mono, _ in by_slot] == [mono for mono, _ in by_rank]
+    for mono, powers in unique:
+        assert mono.display_str() == reference_display(powers)
+        assert repr(mono) == reference_display(powers)
+        names = [v.name for v, _ in sorted(powers.items(), key=lambda i: reference_ranks(i[0]))]
+        assert list(Polynomial({mono: 1}).to_json_obj()[0]["monomial"]) == names
+        assert mono.powers == tuple(sorted(powers.items()))
+        assert not mono or mono[-1] > 0  # no trailing zero exponents
