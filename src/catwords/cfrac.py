@@ -49,6 +49,7 @@ from .polyring import (
     Series,
     V,
     Z,
+    _json_int,
     letter,
     series_div,
     series_from_poly,
@@ -141,7 +142,7 @@ class LetterGF:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LetterGF":
         return cls(
-            letter=int(obj["letter"]),
+            letter=_json_int(obj["letter"]),
             numerator=Polynomial.from_json_obj(obj["numerator"]),
             denominator=Polynomial.from_json_obj(obj["denominator"]),
         )

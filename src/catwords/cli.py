@@ -16,6 +16,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from . import catalan, cfrac, oracle
@@ -143,8 +145,17 @@ def iter_enumerate(
         for word in oracle.enumerate_words(length, max_letter):
             yield oracle.format_word(word) + "\n"
     elif fmt == "json":
-        words = [oracle.format_word(w) for w in oracle.enumerate_words(length, max_letter)]
-        yield _json_text({"length": length, "max_letter": max_letter, "words": words})
+        # Stream the words array into the document that json.dumps would give, a
+        # batch of words per chunk: one write per word costs more than encoding it.
+        document = {"length": length, "max_letter": max_letter, "words": []}
+        head, tail = _json_text(document).split("[]")
+        yield head + "["
+        words = map(oracle.format_word, oracle.enumerate_words(length, max_letter))
+        separator = "\n    "
+        while batch := list(islice(words, 4096)):
+            yield separator + ",\n    ".join(map(encode_basestring_ascii, batch))
+            separator = ",\n    "
+        yield ("]" if separator == "\n    " else "\n  ]") + tail
     else:
         raise ValueError(f"unknown format: {fmt!r}")
 
@@ -160,10 +171,15 @@ def run_enumerate(
 
 @dataclass(frozen=True)
 class Check:
+    """One verify check.  A failed polynomial check keeps only the first
+    monomial, in sort_key order, whose coefficients differ: ``at`` names it
+    ("" for the constant term) and expected/actual are its two coefficients."""
+
     description: str
     status: str  # "pass" or "fail"
     expected: str
     actual: str
+    at: str = ""
 
 
 @dataclass(frozen=True)
@@ -203,8 +219,15 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
     words_total = 0
 
     def add(description: str, expected, actual) -> None:
-        status = "pass" if expected == actual else "fail"
-        checks.append(Check(description, status, str(expected), str(actual)))
+        if expected == actual:
+            checks.append(Check(description, "pass", str(expected), str(actual)))
+            return
+        at = ""
+        if isinstance(expected, Polynomial):
+            mono = (expected - actual).sorted_terms()[0][0]
+            at = "" if mono.is_unit() else mono.display_str()
+            expected, actual = expected.coefficient(mono), actual.coefficient(mono)
+        checks.append(Check(description, "fail", str(expected), str(actual), at))
 
     # Truncation never changes lower coefficients, so each letter and bounded
     # series is expanded once, at order max_length, and read at every n.
@@ -213,22 +236,22 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
     bounded_series = {h: cfrac.bounded_letter_series(h, max_length) for h in heights}
     cat = catalan.catalan_numbers(max_length)
     for n in range(1, max_length + 1):
-        count = sum(1 for _ in oracle.enumerate_words(n))
+        counts = oracle.tally(n)
+        count = sum(counts.values())
         words_total += count
         add(f"n={n} word count", cat[n], count)
 
-        multiset = oracle.monomial_multiset(n, n)
         full = cfrac.gf_full(n, cfrac.TAIL_CATALAN, n)
-        add(f"n={n} multivariate coefficient", multiset, full.coefficient(n))
+        add(f"n={n} multivariate coefficient", oracle.multiset_of(counts), full.coefficient(n))
 
         for i in tracked:
-            hist = oracle.letter_histogram(n, i)
+            hist = oracle.histogram_of(counts, n, i)
             hist_text = "{" + ",".join(f"{k}:{v}" for k, v in sorted(hist.counts.items())) + "}"
             series = letter_series[i]
             add(f"n={n},i={i} histogram {hist_text}", hist.as_polynomial(), series.coefficient(n))
 
         for h in range(1, n + 1):
-            bounded = oracle.bounded_count(n, h)
+            bounded = oracle.bounded_count_of(counts, h)
             series = bounded_series[h]
             add(f"n={n},h={h} bounded count", Polynomial.constant(bounded), series.coefficient(n))
 
@@ -252,7 +275,8 @@ def render_verify(report: VerifyReport, fmt: str = "plain") -> str:
             if c.status == "pass":
                 lines.append(f"PASS {c.description}")
             else:
-                lines.append(f"FAIL {c.description}: expected {c.expected}, actual {c.actual}")
+                at = f"at {c.at}: " if c.at else ""
+                lines.append(f"FAIL {c.description}: {at}expected {c.expected}, actual {c.actual}")
         lines.append(
             f"{report.passed} passed, {report.failed} failed, "
             f"{report.words_enumerated} words enumerated"
@@ -265,6 +289,7 @@ def render_verify(report: VerifyReport, fmt: str = "plain") -> str:
                     {
                         "description": c.description,
                         "status": c.status,
+                        **({"at": c.at} if c.at else {}),
                         "expected": c.expected,
                         "actual": c.actual,
                     }
@@ -278,8 +303,14 @@ def render_verify(report: VerifyReport, fmt: str = "plain") -> str:
             }
         )
     if fmt == "csv":
-        rows = [[c.status, c.description, c.expected, c.actual] for c in report.checks]
-        return _csv_text(["status", "description", "expected", "actual"], rows)
+        # The `at` column appears only when some failed check names a monomial.
+        pinpointed = any(c.at for c in report.checks)
+        header = ["status", "description", "expected", "actual"] + ["at"] * pinpointed
+        rows = [
+            [c.status, c.description, c.expected, c.actual] + [c.at] * pinpointed
+            for c in report.checks
+        ]
+        return _csv_text(header, rows)
     raise ValueError(f"unknown format: {fmt!r}")
 
 

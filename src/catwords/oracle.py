@@ -7,7 +7,6 @@ are cheap and the strictly increasing yield order is part of the contract.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -20,11 +19,15 @@ __all__ = [
     "Histogram",
     "UnderTracked",
     "bounded_count",
+    "bounded_count_of",
     "enumerate_words",
     "format_word",
+    "histogram_of",
     "is_catalan_word",
     "letter_histogram",
     "monomial_multiset",
+    "multiset_of",
+    "tally",
 ]
 
 
@@ -106,15 +109,52 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
 
+def tally(n: int) -> dict[tuple[int, ...], int]:
+    """Count the length-n words by occurrence vector, in one enumeration pass.
+
+    A word's key is the tuple of the occurrences of letters 1..m, where m is
+    its largest letter, so the key's length is that letter and ``tally(0)``
+    is ``{(): 1}``.  Every statistic below reads off this one dict.
+    """
+    counts: dict[tuple[int, ...], int] = {}
+    for word in enumerate_words(n):
+        occurrences = [0] * max(word, default=0)
+        for a in word:
+            occurrences[a - 1] += 1
+        key = tuple(occurrences)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def multiset_of(counts: Mapping[tuple[int, ...], int]) -> Polynomial:
+    """The tallied words as a polynomial: sum of prod_j v_j^(occurrences of j)."""
+    return Polynomial(
+        {
+            Monomial({letter(j): e for j, e in enumerate(key, 1)}): count
+            for key, count in counts.items()
+        }
+    )
+
+
+def histogram_of(counts: Mapping[tuple[int, ...], int], n: int, i: int) -> Histogram:
+    """How many of the tallied length-n words hold letter i exactly k times, per k."""
+    hist: dict[int, int] = {}
+    for key, count in counts.items():
+        k = key[i - 1] if 0 < i <= len(key) else 0
+        hist[k] = hist.get(k, 0) + count
+    return Histogram(letter=i, length=n, counts=dict(sorted(hist.items())))
+
+
+def bounded_count_of(counts: Mapping[tuple[int, ...], int], h: int) -> int:
+    """How many of the tallied words have no letter above h."""
+    return sum(count for key, count in counts.items() if len(key) <= h)
+
+
 def letter_histogram(n: int, i: int) -> Histogram:
-    """Occurrence histogram of letter i over all length-n words (streaming tally)."""
+    """Occurrence histogram of letter i over all length-n words."""
     if i < 1:
         raise ValueError(f"letter must be >= 1, got {i}")
-    counts: dict[int, int] = {}
-    for word in enumerate_words(n):
-        k = word.count(i)
-        counts[k] = counts.get(k, 0) + 1
-    return Histogram(letter=i, length=n, counts=dict(sorted(counts.items())))
+    return histogram_of(tally(n), n, i)
 
 
 def monomial_multiset(n: int, num_vars: int) -> Polynomial:
@@ -126,16 +166,11 @@ def monomial_multiset(n: int, num_vars: int) -> Polynomial:
     """
     if num_vars < n:
         raise UnderTracked(f"need at least {n} tracked variables, got {num_vars}")
-    acc: dict[Monomial, int] = {}
-    for word in enumerate_words(n):
-        occurrences = Counter(word)
-        mono = Monomial({letter(j): count for j, count in occurrences.items()})
-        acc[mono] = acc.get(mono, 0) + 1
-    return Polynomial(acc)
+    return multiset_of(tally(n))
 
 
 def bounded_count(n: int, h: int) -> int:
     """Number of length-n Catalan words whose letters never exceed h."""
     if h < 1:
         raise ValueError(f"max letter must be >= 1, got {h}")
-    return sum(1 for _ in enumerate_words(n, max_letter=h))
+    return bounded_count_of(tally(n), h)

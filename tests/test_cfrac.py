@@ -327,6 +327,14 @@ def test_rational_form_validation_and_json():
     assert LetterGF.from_json_obj(form.to_json_obj()) == form
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, "2"])
+def test_letter_gf_from_json_rejects_inexact_letter(bad):
+    obj = rational_form(2).to_json_obj()
+    obj["letter"] = bad
+    with pytest.raises(ValueError):
+        LetterGF.from_json_obj(obj)
+
+
 def test_rational_form_expands_to_letter_series():
     # The denominator invariant: substituting the Catalan tail and V -> 1
     # must reproduce the plain Catalan series.

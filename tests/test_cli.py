@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+import catwords
 from catwords.cli import (
     build_parser,
     main,
@@ -21,9 +22,17 @@ from catwords.cli import (
 )
 from catwords.catalan import catalan_numbers, catalan_series
 from catwords.cfrac import TAIL_CATALAN, TAIL_ONE, bounded_letter_series, unweighted_series
+from catwords.oracle import enumerate_words, format_word
 from catwords.polyring import Series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# `python -m catwords` in a child process imports the same package as the tests.
+SRC = str(pathlib.Path(catwords.__file__).parent.parent)
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def golden_bytes(name):
@@ -170,12 +179,24 @@ def test_enumerate_histogram_plain_and_json():
     assert obj == {"letter": 5, "length": 5, "counts": {"0": 41, "1": 1}}
 
 
-def test_enumerate_words_csv_and_json():
-    assert run_enumerate(3, fmt="csv") == "word\n111\n112\n121\n122\n123\n"
-    text = run_enumerate(3, fmt="json")
-    obj = json.loads(text)
-    assert obj == {"length": 3, "max_letter": None, "words": ["111", "112", "121", "122", "123"]}
-    assert json.dumps(obj, indent=2) + "\n" == text
+@pytest.mark.parametrize("max_letter", [None, 2])
+@pytest.mark.parametrize("length", range(10))  # 4,862 words at length 9: two JSON batches
+def test_enumerate_words_csv_and_json(length, max_letter):
+    words = [format_word(w) for w in enumerate_words(length, max_letter)]
+    csv_text = run_enumerate(length, max_letter, fmt="csv")
+    assert csv_text == "word\n" + "".join(word + "\n" for word in words)
+    text = run_enumerate(length, max_letter, fmt="json")
+    obj = {"length": length, "max_letter": max_letter, "words": words}
+    assert text == json.dumps(obj, indent=2) + "\n"
+    if (length, max_letter) == (3, None):
+        assert csv_text == "word\n111\n112\n121\n122\n123\n"
+        obj = json.loads(text)
+        assert obj == {
+            "length": 3,
+            "max_letter": None,
+            "words": ["111", "112", "121", "122", "123"],
+        }
+        assert json.dumps(obj, indent=2) + "\n" == text
 
 
 # -- verify ---------------------------------------------------------------------
@@ -233,10 +254,51 @@ def test_verify_json_and_csv_render():
 def test_verify_detects_and_reports_mismatch(capsys, monkeypatch):
     import catwords.oracle
 
-    monkeypatch.setattr(catwords.oracle, "bounded_count", lambda n, h: 999)
+    tally = catwords.oracle.tally
+    # At n=1 the bounded count for h=1 (every tallied word) reads 999.
+    monkeypatch.setattr(catwords.oracle, "tally", lambda n: {(1,): 999} if n == 1 else tally(n))
     assert main(["verify", "--max-length", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL n=1,h=1 bounded count: expected 999, actual 1" in out
+
+
+def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
+    import catwords.oracle
+
+    tally = catwords.oracle.tally
+
+    def swapped(n):
+        # v1^2v2 (112, 121) and v1v2^2 (122) trade counts; the word count still holds.
+        counts = tally(n)
+        if n == 3:
+            counts[(2, 1)], counts[(1, 2)] = counts[(1, 2)], counts[(2, 1)]
+        return counts
+
+    monkeypatch.setattr(catwords.oracle, "tally", swapped)
+    assert main(["verify", "--max-length", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL n=3 multivariate coefficient: at v1^2v2: expected 1, actual 2",
+        "FAIL n=3,i=1 histogram {1:3,2:1,3:1}: at V^2: expected 1, actual 2",
+        "FAIL n=3,i=2 histogram {0:1,1:2,2:2}: at V^2: expected 2, actual 1",
+    ]
+    assert "PASS n=3 word count" in lines
+    assert lines[-1] == "27 passed, 3 failed, 8 words enumerated"
+
+    report = run_verify(3)
+    failed = [c for c in json.loads(render_verify(report, "json"))["checks"] if "at" in c]
+    assert failed[0] == {
+        "description": "n=3 multivariate coefficient",
+        "status": "fail",
+        "at": "v1^2v2",
+        "expected": "1",
+        "actual": "2",
+    }
+    assert all(c["status"] == "fail" for c in failed) and len(failed) == 3
+    rows = render_verify(report, "csv").splitlines()
+    assert rows[0] == "status,description,expected,actual,at"
+    assert "fail,n=3 multivariate coefficient,1,2,v1^2v2" in rows
+    assert "pass,n=2 multivariate coefficient,v1^2+v1v2,v1^2+v1v2," in rows
 
 
 # -- argument handling -----------------------------------------------------------
@@ -286,6 +348,7 @@ def test_closed_stdout_ends_quietly():
         [sys.executable, "-m", "catwords", "enumerate", "--length", "11"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -300,6 +363,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "catwords", "rational", "--letter", "2"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert result.stdout == "numerator: 1-zVC\ndenominator: 1-zVC-z\n"

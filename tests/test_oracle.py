@@ -1,5 +1,7 @@
 """Tests for brute-force enumeration and the exact statistics built on it."""
 
+from collections import Counter
+
 import pytest
 
 from catwords.catalan import catalan_numbers
@@ -7,13 +9,17 @@ from catwords.oracle import (
     Histogram,
     UnderTracked,
     bounded_count,
+    bounded_count_of,
     enumerate_words,
     format_word,
+    histogram_of,
     is_catalan_word,
     letter_histogram,
     monomial_multiset,
+    multiset_of,
+    tally,
 )
-from catwords.polyring import Polynomial, V, letter
+from catwords.polyring import Monomial, Polynomial, V, letter
 
 Vp = Polynomial.var(V)
 
@@ -144,3 +150,52 @@ def test_bounded_count():
     assert bounded_count(0, 1) == 1
     with pytest.raises(ValueError):
         bounded_count(3, 0)
+
+
+def test_tally_keys_are_occurrence_vectors():
+    assert tally(0) == {(): 1}
+    assert tally(1) == {(1,): 1}
+    # 111 | 112, 121 | 122 | 123
+    assert tally(3) == {(3,): 1, (2, 1): 2, (1, 2): 1, (1, 1, 1): 1}
+    with pytest.raises(ValueError):
+        letter_histogram(3, 0)
+    with pytest.raises(ValueError):
+        tally(-1)
+
+
+# Reference loops: each statistic from its own enumeration pass, as the oracle
+# computed them before every statistic was read off one tally.
+
+
+def reference_histogram(n, i):
+    counts = {}
+    for word in enumerate_words(n):
+        k = word.count(i)
+        counts[k] = counts.get(k, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def reference_multiset(n):
+    acc = {}
+    for word in enumerate_words(n):
+        occurrences = Counter(word)
+        mono = Monomial({letter(j): count for j, count in occurrences.items()})
+        acc[mono] = acc.get(mono, 0) + 1
+    return Polynomial(acc)
+
+
+def reference_bounded_count(n, h):
+    return sum(1 for _ in enumerate_words(n, max_letter=h))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_tally_statistics_match_per_statistic_enumeration(n):
+    counts = tally(n)
+    assert sum(counts.values()) == sum(1 for _ in enumerate_words(n))
+    assert multiset_of(counts) == monomial_multiset(n, n) == reference_multiset(n)
+    for i in range(1, n + 2):
+        expected = reference_histogram(n, i)
+        assert histogram_of(counts, n, i).counts == letter_histogram(n, i).counts == expected
+    for h in range(1, n + 2):
+        expected = reference_bounded_count(n, h)
+        assert bounded_count_of(counts, h) == bounded_count(n, h) == expected
