@@ -10,7 +10,6 @@ verifies every coefficient against direct enumeration.
 
 from .catalan import (
     catalan_numbers,
-    catalan_polynomial,
     catalan_series,
     check_functional_equation,
     functional_equation_holds,
@@ -85,7 +84,6 @@ __all__ = [
     "bounded_count",
     "bounded_letter_series",
     "catalan_numbers",
-    "catalan_polynomial",
     "catalan_series",
     "check_functional_equation",
     "convergent",

@@ -6,7 +6,6 @@ from .polyring import Polynomial, Series, series_mul
 
 __all__ = [
     "catalan_numbers",
-    "catalan_polynomial",
     "catalan_series",
     "check_functional_equation",
     "functional_equation_holds",
@@ -32,11 +31,6 @@ def catalan_numbers(order: int) -> list[int]:
 def catalan_series(order: int) -> Series:
     """The series whose z^n coefficient is the n-th Catalan number."""
     return Series([Polynomial.constant(c) for c in catalan_numbers(order)])
-
-
-def catalan_polynomial(order: int) -> Polynomial:
-    """The truncated Catalan series as a polynomial in z (used as a tail value)."""
-    return catalan_series(order).as_polynomial()
 
 
 def functional_equation_holds(series: Series) -> bool:

@@ -9,9 +9,15 @@ with seeds h_{-1} = 0, h_0 = 1, k_{-1} = 1, k_0 = 1, giving the convergent
 h_n / k_n.  With partial quotients a_i = z * v_i the expansion of h_n / k_n
 counts Catalan words by length (powers of z) and by letter occurrences
 (powers of v_i).  What happens beyond the truncation depth is controlled by
-a formal tail symbol C multiplied onto the final quotient: substituting
-C -> 1 forbids letters larger than the depth, while substituting the Catalan
-series for C leaves them unrestricted and unweighted.
+a tail C multiplied onto the final quotient.  The last step of the
+recurrences then makes the convergent a linear fraction in C:
+
+    h = h0 + h1*C,  k = k0 + k1*C,  with h0 = h_{n-1}, h1 = -a_n * h_{n-2}
+
+and k0, k1 alike.  C = 1 forbids letters larger than the depth and gives
+(h0 + h1)/(k0 + k1); the Catalan series for C leaves them unrestricted and
+unweighted, and the two parts are expanded separately and combined with the
+Catalan series before the division.
 
 ## Per-letter series
 
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .catalan import catalan_numbers, catalan_polynomial
+from .catalan import catalan_numbers, catalan_series
 from .polyring import (
     C,
     Monomial,
@@ -166,18 +172,26 @@ def _quotient_values(depth: int, quotients: Sequence[PartialQuotient]) -> list[P
     return [q.value for q in quotients[:depth]]
 
 
-def _run_recurrences(values: Sequence[Polynomial]) -> tuple[Polynomial, Polynomial]:
+def _run_recurrences(values: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+    """The last two rows of both recurrences: (h_{n-1}, h_n, k_{n-1}, k_n)."""
     h_prev, h_cur = Polynomial.zero(), _ONE
     k_prev, k_cur = _ONE, _ONE
     for a in values:
         h_prev, h_cur = h_cur, h_cur - a * h_prev
         k_prev, k_cur = k_cur, k_cur - a * k_prev
-    return h_cur, k_cur
+    return h_prev, h_cur, k_prev, k_cur
+
+
+def _tail_parts(depth: int, quotients: Sequence[PartialQuotient]) -> tuple[Polynomial, ...]:
+    """(h0, h1, k0, k1) with h = h0 + h1*C and k = k0 + k1*C at a tailed depth >= 1."""
+    *values, last = _quotient_values(depth, quotients)
+    h_before, h0, k_before, k0 = _run_recurrences(values)
+    return h0, -last * h_before, k0, -last * k_before
 
 
 def convergent(depth: int, quotients: Sequence[PartialQuotient]) -> Convergent:
     """The plain convergent h_depth / k_depth."""
-    h, k = _run_recurrences(_quotient_values(depth, quotients))
+    _, h, _, k = _run_recurrences(_quotient_values(depth, quotients))
     return Convergent(depth, h, k, tail=None)
 
 
@@ -187,7 +201,7 @@ def tail_convergent(
     """Convergent whose final quotient is multiplied by a tail factor.
 
     The factor must be 1 (identical to the plain convergent) or the formal
-    symbol C (to be eliminated later by substitution).
+    symbol C, which the result then holds linearly: h = h0 + h1*C.
     """
     if depth < 1:
         raise ValueError("a tail requires depth >= 1")
@@ -197,10 +211,8 @@ def tail_convergent(
         tag = "C"
     else:
         raise ValueError("tail factor must be 1 or the symbol C")
-    values = _quotient_values(depth, quotients)
-    values[-1] = values[-1] * tail_factor
-    h, k = _run_recurrences(values)
-    return Convergent(depth, h, k, tail=tag)
+    h0, h1, k0, k1 = _tail_parts(depth, quotients)
+    return Convergent(depth, h0 + h1 * tail_factor, k0 + k1 * tail_factor, tail=tag)
 
 
 def expand_ratio(numerator: Polynomial, denominator: Polynomial, order: int) -> Series:
@@ -210,17 +222,20 @@ def expand_ratio(numerator: Polynomial, denominator: Polynomial, order: int) -> 
     return series_div(num, den)
 
 
-def _tail_substitution(tail_mode: str, order: int) -> dict:
+def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) -> Series:
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if tail_mode not in (TAIL_ONE, TAIL_CATALAN):
+        raise ValueError(f"unknown tail mode: {tail_mode!r}")
+    h0, h1, k0, k1 = _tail_parts(depth, make_quotients(depth))
     if tail_mode == TAIL_ONE:
-        return {C: _ONE}
-    if tail_mode == TAIL_CATALAN:
-        return {C: catalan_polynomial(order)}
-    raise ValueError(f"unknown tail mode: {tail_mode!r}")
-
-
-def _expand_with_tail(conv: Convergent, tail_mode: str, order: int) -> Series:
-    sub = _tail_substitution(tail_mode, order)
-    return expand_ratio(conv.h.specialize(sub), conv.k.specialize(sub), order)
+        return expand_ratio(h0 + h1, k0 + k1, order)
+    cat = catalan_series(order)
+    num = series_from_poly(h0, order) + series_from_poly(h1, order) * cat
+    den = series_from_poly(k0, order) + series_from_poly(k1, order) * cat
+    return series_div(num, den)
 
 
 def gf_full(depth: int, tail_mode: str, order: int) -> Series:
@@ -230,22 +245,12 @@ def gf_full(depth: int, tail_mode: str, order: int) -> Series:
     restricted to <= depth when tail_mode is "one"), of prod_j v_j^(number of
     occurrences of letter j).
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    conv = tail_convergent(depth, generic_quotients(depth), _C)
-    return _expand_with_tail(conv, tail_mode, order)
+    return _expand_with_tail(generic_quotients, depth, tail_mode, order)
 
 
 def unweighted_series(depth: int, tail_mode: str, order: int) -> Series:
     """Expansion of the depth-n convergent with every letter weight set to 1."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    conv = tail_convergent(depth, uniform_quotients(depth), _C)
-    return _expand_with_tail(conv, tail_mode, order)
+    return _expand_with_tail(uniform_quotients, depth, tail_mode, order)
 
 
 def rational_form(letter_index: int) -> LetterGF:
@@ -254,12 +259,17 @@ def rational_form(letter_index: int) -> LetterGF:
     The convergent depth equals the letter: quotients below it are z, the
     final quotient is z*V, and the tail symbol C absorbs everything deeper.
     """
+    n0, n1, d0, d1 = _letter_parts(letter_index)
+    return LetterGF(letter_index, n0 + n1 * _C, d0 + d1 * _C)
+
+
+def _letter_parts(letter_index: int) -> tuple[Polynomial, ...]:
+    """The C-free and C-linear parts (n0, n1, d0, d1) of one letter's closed form."""
     if letter_index < 1:
         raise ValueError(f"letter must be >= 1, got {letter_index}")
     quotients = uniform_quotients(letter_index - 1)
     quotients.append(PartialQuotient(letter_index, _Z * _V))
-    conv = tail_convergent(letter_index, quotients, _C)
-    return LetterGF(letter_index, conv.h, conv.k)
+    return _tail_parts(letter_index, quotients)
 
 
 # The per-letter series keeps its V-polynomials as dense lists of ints indexed
@@ -311,13 +321,7 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    form = rational_form(letter_index)
-    if max(form.numerator.degree_in(C), form.denominator.degree_in(C)) > 1:
-        raise ArithmeticError("per-letter closed form must be linear in C")
-    n0 = form.numerator.specialize({C: 0})
-    n1 = form.numerator.specialize({C: 1}) - n0
-    d0 = form.denominator.specialize({C: 0})
-    d1 = form.denominator.specialize({C: 1}) - d0
+    n0, n1, d0, d1 = _letter_parts(letter_index)
     a = _v_rows(_Z * n0 * d0 + (n0 + n1) * d1, z_shift=1)
     b = _v_rows(n1 * d0 - n0 * d1)
     e = _v_rows(_Z * d0 * d0 + (d0 + d1) * d1, z_shift=1)

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from . import catalan, cfrac, oracle
-from .polyring import Polynomial, Series
+from .polyring import Polynomial, Series, _json_int
 
 FORMATS = ("plain", "json", "csv")
 DEFAULT_VERIFY_LETTERS = (1, 2, 3, 4, 5)
@@ -40,18 +40,21 @@ __all__ = [
 ]
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+def _at_least(minimum: int, text: str) -> int:
+    # ASCII decimal digits only, as in the JSON readers: int() would also take
+    # "５", "1_0" and " 3 ".
+    value = _json_int(text, text=True)
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
     return value
+
+
+def _positive(text: str) -> int:
+    return _at_least(1, text)
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+    return _at_least(0, text)
 
 
 def _json_text(obj) -> str:
@@ -137,27 +140,26 @@ def iter_enumerate(
         else:
             raise ValueError(f"unknown format: {fmt!r}")
         return
-    if fmt == "plain":
-        for word in oracle.enumerate_words(length, max_letter):
-            yield oracle.format_word(word) + "\n"
-    elif fmt == "csv":
-        yield "word\n"
-        for word in oracle.enumerate_words(length, max_letter):
-            yield oracle.format_word(word) + "\n"
-    elif fmt == "json":
-        # Stream the words array into the document that json.dumps would give, a
-        # batch of words per chunk: one write per word costs more than encoding it.
+    words = map(oracle.format_word, oracle.enumerate_words(length, max_letter))
+    if fmt == "json":
+        # Stream the words array into the document that json.dumps would give.
         document = {"length": length, "max_letter": max_letter, "words": []}
         head, tail = _json_text(document).split("[]")
         yield head + "["
-        words = map(oracle.format_word, oracle.enumerate_words(length, max_letter))
-        separator = "\n    "
-        while batch := list(islice(words, 4096)):
-            yield separator + ",\n    ".join(map(encode_basestring_ascii, batch))
-            separator = ",\n    "
-        yield ("]" if separator == "\n    " else "\n  ]") + tail
+        words, first, joiner = map(encode_basestring_ascii, words), "\n    ", ",\n    "
+    elif fmt in ("plain", "csv"):
+        if fmt == "csv":
+            yield "word\n"
+        words, first, joiner = (word + "\n" for word in words), "", ""
     else:
         raise ValueError(f"unknown format: {fmt!r}")
+    # A batch of words per chunk: one write per word costs more than encoding it.
+    separator = first
+    while batch := list(islice(words, 4096)):
+        yield separator + joiner.join(batch)
+        separator = joiner
+    if fmt == "json":
+        yield ("]" if separator == first else "\n  ]") + tail
 
 
 def run_enumerate(

@@ -519,14 +519,6 @@ class Series:
         """Apply a substitution to every coefficient (must stay z-free)."""
         return Series([c.specialize(assignment) for c in self._coeffs])
 
-    def as_polynomial(self) -> Polynomial:
-        """Reassemble the truncation as a polynomial in z."""
-        acc: dict[Monomial, int] = {}
-        for n, coeff in enumerate(self._coeffs):
-            for mono, value in coeff._terms.items():
-                acc[_monomial([n, *mono[1:]])] = value
-        return Polynomial._raw(acc)
-
     # -- comparison and rendering ----------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -6,7 +6,6 @@ import pytest
 
 from catwords.catalan import (
     catalan_numbers,
-    catalan_polynomial,
     catalan_series,
     check_functional_equation,
     functional_equation_holds,
@@ -61,10 +60,3 @@ def test_series_is_inverse_of_one_minus_z_c():
     n = 12
     c = catalan_series(n)
     assert series_mul(c, 1 - c.shift(1)) == Series([1] + [0] * n)
-
-
-def test_catalan_polynomial():
-    p = catalan_polynomial(3)
-    assert p.format_plain() == "1+z+2z^2+5z^3"
-    with pytest.raises(ValueError):
-        catalan_polynomial(-1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catwords.catalan import catalan_numbers, catalan_polynomial, catalan_series
+from catwords.catalan import catalan_numbers, catalan_series
 from catwords.cfrac import (
     TAIL_CATALAN,
     TAIL_ONE,
@@ -34,6 +34,17 @@ Cp = Polynomial.var(C)
 
 def vp(i):
     return Polynomial.var(letter(i))
+
+
+def catalan_polynomial(order):
+    """The Catalan series truncated at the order, as a polynomial in z."""
+    return sum((c * z**n for n, c in enumerate(catalan_numbers(order))), Polynomial.zero())
+
+
+def expand_by_substitution(h, k, tail_value, order):
+    """Reference route: substitute a value for C in h and k and divide the two series."""
+    tail = {C: tail_value}
+    return expand_ratio(h.specialize(tail), k.specialize(tail), order)
 
 
 # -- plain convergents --------------------------------------------------------
@@ -193,6 +204,25 @@ def test_gf_full_matches_enumerated_multiset(n):
     assert series.coefficient(n) == monomial_multiset(n, n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 12), st.sampled_from([TAIL_ONE, TAIL_CATALAN]))
+@example(8, 12, TAIL_CATALAN)
+@example(8, 12, TAIL_ONE)
+@example(1, 0, TAIL_CATALAN)
+def test_tail_parts_match_substitution_route(depth, order, tail_mode):
+    # The reference multiplies C into the last quotient and runs the plain recurrences.
+    tail_value = ONE if tail_mode == TAIL_ONE else catalan_polynomial(order)
+    for expand, make_quotients in (
+        (gf_full, generic_quotients),
+        (unweighted_series, uniform_quotients),
+    ):
+        quotients = make_quotients(depth)
+        quotients[-1] = PartialQuotient(depth, quotients[-1].value * Cp)
+        conv = convergent(depth, quotients)
+        reference = expand_by_substitution(conv.h, conv.k, tail_value, order)
+        assert expand(depth, tail_mode, order) == reference
+
+
 @pytest.mark.parametrize("n", (2, 4))
 def test_bounded_expansion_stabilizes_up_to_depth(n):
     order = n + 3
@@ -257,8 +287,7 @@ def letter_series_by_dense_tail(i, order):
     """Reference route: substitute the truncated Catalan polynomial for C and
     divide the two dense series."""
     form = rational_form(i)
-    tail = {C: catalan_polynomial(order)}
-    return expand_ratio(form.numerator.specialize(tail), form.denominator.specialize(tail), order)
+    return expand_by_substitution(form.numerator, form.denominator, catalan_polynomial(order), order)
 
 
 @settings(max_examples=60, deadline=None)

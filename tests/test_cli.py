@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catwords
 from catwords.cli import (
@@ -21,7 +23,16 @@ from catwords.cli import (
     run_verify,
 )
 from catwords.catalan import catalan_numbers, catalan_series
-from catwords.cfrac import TAIL_CATALAN, TAIL_ONE, bounded_letter_series, unweighted_series
+from catwords.cfrac import (
+    TAIL_CATALAN,
+    TAIL_ONE,
+    LetterGF,
+    bounded_letter_series,
+    gf_full,
+    letter_gf_series,
+    rational_form,
+    unweighted_series,
+)
 from catwords.oracle import enumerate_words, format_word
 from catwords.polyring import Series
 
@@ -157,6 +168,31 @@ def test_cfrac_unweighted_catalan_tail_is_catalan_series():
     assert unweighted_series(6, TAIL_CATALAN, 8) == catalan_series(8)
 
 
+# -- JSON round trips --------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 24))
+def test_expand_json_parses_back_to_letter_series(letter_index, order):
+    obj = json.loads(run_expand(letter_index, order, "json"))
+    assert Series.from_json_obj(obj) == letter_gf_series(letter_index, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([TAIL_ONE, TAIL_CATALAN]), st.integers(0, 8), st.booleans())
+def test_cfrac_json_parses_back_to_series(depth, tail, order, generic):
+    obj = json.loads(run_cfrac(depth, tail, order, generic, "json"))
+    expand = gf_full if generic else unweighted_series
+    assert Series.from_json_obj(obj) == expand(depth, tail, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 20))
+def test_rational_json_parses_back_to_letter_gf(letter_index):
+    obj = json.loads(run_rational(letter_index, "json"))
+    assert LetterGF.from_json_obj(obj) == rational_form(letter_index)
+
+
 # -- enumerate -----------------------------------------------------------------
 
 
@@ -183,6 +219,7 @@ def test_enumerate_histogram_plain_and_json():
 @pytest.mark.parametrize("length", range(10))  # 4,862 words at length 9: two JSON batches
 def test_enumerate_words_csv_and_json(length, max_letter):
     words = [format_word(w) for w in enumerate_words(length, max_letter)]
+    assert run_enumerate(length, max_letter) == "".join(word + "\n" for word in words)
     csv_text = run_enumerate(length, max_letter, fmt="csv")
     assert csv_text == "word\n" + "".join(word + "\n" for word in words)
     text = run_enumerate(length, max_letter, fmt="json")
@@ -315,6 +352,11 @@ def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
         ["cfrac", "--depth", "2", "--order", "3", "--tail", "never"],
         ["nonsense"],
         [],
+        ["expand", "--letter", "\uff15", "--order", "3"],  # fullwidth digit five
+        ["expand", "--letter", "5", "--order", "1_0"],
+        ["enumerate", "--length", " 3 "],
+        ["enumerate", "--length", "+3"],
+        ["verify", "--max-length", "3\n"],
     ],
 )
 def test_usage_errors_exit_two(argv):
