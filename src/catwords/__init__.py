@@ -45,7 +45,6 @@ from .oracle import (
 )
 from .polyring import (
     C,
-    Monomial,
     NonUnitConstantTerm,
     Polynomial,
     RecursiveAssignment,
@@ -69,7 +68,6 @@ __all__ = [
     "Histogram",
     "InsufficientQuotients",
     "LetterGF",
-    "Monomial",
     "NonUnitConstantTerm",
     "PartialQuotient",
     "Polynomial",

@@ -23,7 +23,8 @@ def catalan_numbers(order: int) -> list[int]:
     values = [1]
     for n in range(order):
         quotient, remainder = divmod(values[-1] * 2 * (2 * n + 1), n + 2)
-        assert remainder == 0
+        if remainder:
+            raise ArithmeticError(f"C_{n} * 2(2n+1) is not divisible by {n + 2}")
         values.append(quotient)
     return values
 

@@ -49,14 +49,15 @@ from typing import Sequence
 from .catalan import catalan_numbers, catalan_series
 from .polyring import (
     C,
-    Monomial,
     Polynomial,
     PolynomialLike,
     Series,
     V,
     Z,
     _json_int,
+    exponents,
     letter,
+    monomial,
     series_div,
     series_from_poly,
 )
@@ -279,11 +280,12 @@ def _letter_parts(letter_index: int) -> tuple[Polynomial, ...]:
 def _v_rows(p: Polynomial, z_shift: int = 0) -> list[list[int]]:
     """Dense V-coefficients of p / z^z_shift, one row per power of z; p is in Z[z, V]."""
     rows: list[list[int]] = []
-    for mono, coeff in p.sorted_terms():
-        zdeg = mono.degree(Z) - z_shift
+    for key, coeff in p.sorted_terms():
+        powers = exponents(key)
+        zdeg = powers.get(Z, 0) - z_shift
         if zdeg < 0:
             raise ArithmeticError("division by z is not exact")
-        vdeg = mono.degree(V)
+        vdeg = powers.get(V, 0)
         rows.extend([] for _ in range(zdeg + 1 - len(rows)))
         rows[zdeg].extend([0] * (vdeg + 1 - len(rows[zdeg])))
         rows[zdeg][vdeg] = coeff
@@ -329,7 +331,7 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
         raise ArithmeticError("expected E(0) = 1 - V")
 
     catalan = catalan_numbers(order)
-    monomials = [Monomial()]
+    monomials = [monomial()]  # the key of V^k, shared by every row
     recent: deque[list[int]] = deque(maxlen=len(e) - 1)  # series rows n-1, n-2, ...
     coeffs: list[Polynomial] = []
     for n in range(order + 1):
@@ -341,8 +343,8 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
         row = _divide_one_minus_v(acc)
         recent.append(row)
         while len(monomials) < len(row):
-            monomials.append(Monomial({V: len(monomials)}))
-        coeffs.append(Polynomial({monomials[k]: c for k, c in enumerate(row) if c}))
+            monomials.append(monomial({V: len(monomials)}))
+        coeffs.append(Polynomial._raw({monomials[k]: c for k, c in enumerate(row) if c}))
     return Series(coeffs)
 
 

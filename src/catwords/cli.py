@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from . import catalan, cfrac, oracle
-from .polyring import Polynomial, Series, _json_int
+from .polyring import Polynomial, Series, _json_int, monomial_str
 
 FORMATS = ("plain", "json", "csv")
 DEFAULT_VERIFY_LETTERS = (1, 2, 3, 4, 5)
@@ -174,7 +174,7 @@ def run_enumerate(
 @dataclass(frozen=True)
 class Check:
     """One verify check.  A failed polynomial check keeps only the first
-    monomial, in sort_key order, whose coefficients differ: ``at`` names it
+    monomial, in sorted_terms order, whose coefficients differ: ``at`` names it
     ("" for the constant term) and expected/actual are its two coefficients."""
 
     description: str
@@ -226,9 +226,9 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
             return
         at = ""
         if isinstance(expected, Polynomial):
-            mono = (expected - actual).sorted_terms()[0][0]
-            at = "" if mono.is_unit() else mono.display_str()
-            expected, actual = expected.coefficient(mono), actual.coefficient(mono)
+            key = (expected - actual).sorted_terms()[0][0]
+            at = monomial_str(key) if key else ""
+            expected, actual = expected.coefficient(key), actual.coefficient(key)
         checks.append(Check(description, "fail", str(expected), str(actual), at))
 
     # Truncation never changes lower coefficients, so each letter and bounded

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .polyring import Monomial, Polynomial, V, letter
+from .polyring import Polynomial, V, letter, monomial
 
 CatalanWord = tuple[int, ...]
 
@@ -97,11 +97,7 @@ class Histogram:
 
     def as_polynomial(self) -> Polynomial:
         """The histogram encoded as a polynomial in V: sum of counts[k] * V^k."""
-        terms = {}
-        for k, count in self.counts.items():
-            mono = Monomial({V: k}) if k else Monomial()
-            terms[mono] = count
-        return Polynomial(terms)
+        return Polynomial({monomial({V: k} if k else {}): c for k, c in self.counts.items()})
 
     def to_csv(self) -> str:
         lines = ["k,count"]
@@ -130,7 +126,7 @@ def multiset_of(counts: Mapping[tuple[int, ...], int]) -> Polynomial:
     """The tallied words as a polynomial: sum of prod_j v_j^(occurrences of j)."""
     return Polynomial(
         {
-            Monomial({letter(j): e for j, e in enumerate(key, 1)}): count
+            monomial({letter(j): e for j, e in enumerate(key, 1)}): count
             for key, count in counts.items()
         }
     )

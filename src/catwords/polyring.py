@@ -1,26 +1,31 @@
 """Exact sparse arithmetic: multivariate integer polynomials and truncated power series.
 
-Coefficients are Python ints, so nothing ever overflows or rounds.  The
-variables are the series marker ``z``, the standalone symbols ``V`` and ``C``,
-and the indexed letter variables ``v1, v2, ...``.  Each has a fixed slot,
-z = 0, C = 1, V = 2 and v_i = 2 + i, and a monomial is the tuple of its
-exponents by slot with no trailing zeros, so z^2*V*v1 is (2, 0, 1, 1).  Terms
-are sorted and serialized in slot order; printed monomials use a separate
-display order, z, V, v1, v2, ..., C.  Every operation returns a canonical form
-(no stored zero coefficients, no trailing zero exponents) and keeps terms in
-one fixed order, so printed and serialized output is deterministic.
+Coefficients are Python ints, so nothing ever rounds.  The variables are the
+series marker ``z``, the standalone symbols ``V`` and ``C``, and the indexed
+letter variables ``v1, v2, ...``, with fixed slots z = 0, C = 1, V = 2 and
+v_i = 2 + i.  A monomial is one int, its key, with the exponent of slot s in
+bits 32*s .. 32*s + 31: z^2*V*v1 is 2 + (1 << 64) + (1 << 96), the unit is 0,
+and a product of monomials is the sum of their keys.  Exponents stay below
+2^31, so the top bit of every field is clear and two keys add without a carry
+between fields; a product whose exponent reaches 2^31 raises OverflowError
+instead of wrapping.  ``monomial`` builds a key, ``exponents`` reads it back
+and ``monomial_str`` prints it.  Terms are sorted and serialized in slot
+order; printed monomials use the display order z, V, v1, v2, ..., C.  Every
+operation returns a canonical form (no stored zero coefficients) in one fixed
+term order, so printed and serialized output is deterministic.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
-from operator import add
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 __all__ = [
     "C",
-    "Monomial",
     "NonUnitConstantTerm",
     "Polynomial",
     "RecursiveAssignment",
@@ -28,7 +33,10 @@ __all__ = [
     "V",
     "Variable",
     "Z",
+    "exponents",
     "letter",
+    "monomial",
+    "monomial_str",
     "series_div",
     "series_from_poly",
     "series_inverse",
@@ -47,6 +55,10 @@ class NonUnitConstantTerm(ValueError):
 _NAMED_SLOTS = {"z": 0, "C": 1, "V": 2}
 _LETTER_NAME = re.compile("v[1-9][0-9]*")
 _DECIMAL = re.compile("-?[0-9]+")
+
+_WIDTH = 32  # bits per slot: one little-endian struct "I" field
+_MASK = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)  # the bit no stored exponent may reach
 
 
 def _slot_name(slot: int) -> str:
@@ -108,66 +120,49 @@ def letter(i: int) -> Variable:
     return Variable._at(2 + i)
 
 
-class Monomial(tuple):
-    """A product of variable powers: the exponents indexed by variable slot,
-    with no trailing zeros, so the empty tuple is the unit monomial."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()
-    ) -> "Monomial":
-        exps: list[int] = []
-        for var, exp in dict(powers).items():
-            if not isinstance(exp, int) or exp < 1:
-                raise ValueError(f"exponent of {var} must be a positive int, got {exp!r}")
-            exps.extend([0] * (var.slot + 1 - len(exps)))
-            exps[var.slot] = exp
-        return tuple.__new__(cls, exps)
-
-    def __getnewargs__(self):  # pickle and copy rebuild a Monomial from its powers
-        return (self.powers,)
-
-    @property
-    def powers(self) -> tuple[tuple[Variable, int], ...]:
-        return tuple((Variable._at(slot), e) for slot, e in enumerate(self) if e)
-
-    def is_unit(self) -> bool:
-        return not self
-
-    def degree(self, var: Variable) -> int:
-        return self[var.slot] if var.slot < len(self) else 0
-
-    def times(self, other: "Monomial") -> "Monomial":
-        if len(self) < len(other):
-            self, other = other, self
-        if not other:
-            return self
-        return tuple.__new__(Monomial, (*map(add, self, other), *self[len(other) :]))
-
-    def sort_key(self):
-        """Canonical term key: z-degree ascending, then the remaining slots
-        compared in order with higher exponents first; the closing 1 outranks
-        every negated exponent, so a term sorts before each prefix of it."""
-        return (self[0] if self else 0, tuple([-e for e in self[1:]]) + (1,))
-
-    def display_str(self) -> str:
-        factors = [*enumerate(self[:1]), *enumerate(self[2:], 2), *enumerate(self[1:2], 1)]
-        names = ((_slot_name(slot), e) for slot, e in factors if e)
-        return "".join(name if e == 1 else f"{name}^{e}" for name, e in names) or "1"
-
-    def __repr__(self) -> str:
-        return self.display_str()
+def monomial(powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()) -> int:
+    """The key of the product of var^exp over powers; the unit monomial is 0."""
+    key = 0
+    for var, exp in dict(powers).items():
+        if type(exp) is not int or exp < 1:
+            raise ValueError(f"exponent of {var} must be a positive int, got {exp!r}")
+        if exp >= _GUARD:
+            raise OverflowError(f"exponent of {var} must be below 2^{_WIDTH - 1}, got {exp}")
+        key |= exp << (_WIDTH * var.slot)
+    return key
 
 
-def _monomial(exps: list[int]) -> Monomial:
-    """The monomial with these exponents by slot (trailing zeros are dropped)."""
-    while exps and not exps[-1]:
-        exps.pop()
-    return tuple.__new__(Monomial, exps)
+@lru_cache
+def _reader(fields: int):
+    """(unpack, size): unpack(key.to_bytes(size, "little")) gives the exponents by
+    slot of a key of at most this many fields, padded with zeros to that many."""
+    return struct.Struct(f"<{fields}I").unpack, fields * _WIDTH // 8
 
 
-_UNIT_MONOMIAL = Monomial()
+def _slots(key: int) -> tuple[int, ...]:
+    """The exponents of a key by slot, up to its last nonzero one."""
+    unpack, size = _reader(-(-key.bit_length() // _WIDTH))
+    return unpack(key.to_bytes(size, "little"))
+
+
+def exponents(key: int) -> dict[Variable, int]:
+    """The powers of a key's monomial, in slot order: the inverse of ``monomial``."""
+    return {Variable._at(slot): e for slot, e in enumerate(_slots(key)) if e}
+
+
+def monomial_str(key: int) -> str:
+    """A key's monomial as printed, factors in display order: ``z^2Vv1`` or ``1``."""
+    exps = _slots(key)
+    factors = [*enumerate(exps[:1]), *enumerate(exps[2:], 2), *enumerate(exps[1:2], 1)]
+    names = ((_slot_name(slot), e) for slot, e in factors if e)
+    return "".join(name if e == 1 else f"{name}^{e}" for name, e in names) or "1"
+
+
+def _check_guards(keys: Iterable[int]) -> None:
+    """Raise OverflowError if any key has an exponent at or above 2^31."""
+    if max(_slots(reduce(or_, keys, 0)), default=0) >= _GUARD:
+        raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
+
 
 PolynomialLike = Union["Polynomial", int]
 
@@ -175,20 +170,24 @@ PolynomialLike = Union["Polynomial", int]
 class Polynomial:
     """A sparse multivariate polynomial with integer coefficients.
 
-    Internally a map from Monomial to nonzero int; two polynomials are equal
-    exactly when those maps are equal.  Instances are immutable and all
+    Internally a map from monomial key to nonzero int; two polynomials are
+    equal exactly when those maps are equal.  Instances are immutable and all
     arithmetic returns new values, so they are safe to share freely.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()
-    ) -> None:
-        self._terms = {mono: coeff for mono, coeff in dict(terms).items() if coeff != 0}
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> None:
+        terms = dict(terms)
+        if set(map(type, terms)) - {int} or min(terms, default=0) < 0:
+            raise ValueError("monomial keys must be ints >= 0, as made by monomial()")
+        if set(map(type, terms.values())) - {int}:
+            raise TypeError("polynomial coefficients must be ints")
+        _check_guards(terms)
+        self._terms = {key: coeff for key, coeff in terms.items() if coeff}
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> "Polynomial":
+    def _raw(cls, terms: dict[int, int]) -> "Polynomial":
         assert all(coeff != 0 for coeff in terms.values())  # canonical-form closure
         poly = object.__new__(cls)
         poly._terms = terms
@@ -204,43 +203,46 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
-        if value == 0:
-            return _ZERO
-        return cls._raw({_UNIT_MONOMIAL: value})
+        return cls({0: value})
 
     @classmethod
     def var(cls, variable: Variable) -> "Polynomial":
-        return cls._raw({Monomial({variable: 1}): 1})
+        return cls._raw({monomial({variable: 1}): 1})
 
     # -- inspection -------------------------------------------------------
 
     @property
     def constant_term(self) -> int:
-        return self._terms.get(_UNIT_MONOMIAL, 0)
+        return self._terms.get(0, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {_UNIT_MONOMIAL: 1}
+        return self._terms == {0: 1}
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _UNIT_MONOMIAL in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+    def coefficient(self, key: int) -> int:
+        return self._terms.get(key, 0)
 
     def variables(self) -> frozenset[Variable]:
-        slots = {slot for mono in self._terms for slot, e in enumerate(mono) if e}
-        return frozenset(map(Variable._at, slots))
+        return frozenset(exponents(reduce(or_, self._terms, 0)))
 
     def degree_in(self, var: Variable) -> int:
-        slot = var.slot
-        return max((mono[slot] for mono in self._terms if slot < len(mono)), default=0)
+        shift = _WIDTH * var.slot
+        return max(((key >> shift) & _MASK for key in self._terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in the canonical order used for printing and serialization."""
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+    def sorted_terms(self) -> list[tuple[int, int]]:
+        """Terms in the canonical order used for printing and serialization:
+        z-degree ascending, then the other exponents in slot order, higher first."""
+        unpack, size = _reader(-(-reduce(or_, self._terms, 0).bit_length() // _WIDTH))
+        # Complementing every field but z's makes that order ascending field by field.
+        flip = ((1 << (8 * size)) - 1) & ~_MASK
+        return sorted(
+            self._terms.items(), key=lambda item: unpack((item[0] ^ flip).to_bytes(size, "little"))
+        )
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -265,7 +267,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({mono: -coeff for mono, coeff in self._terms.items()})
+        return Polynomial._raw({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: PolynomialLike) -> "Polynomial":
         other_poly = _as_poly(other)
@@ -285,11 +287,11 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other_poly._terms:
             return _ZERO
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         right = other_poly._terms.items()
-        for mono_a, coeff_a in self._terms.items():
-            products = ((mono_a.times(mono_b), coeff_a * coeff_b) for mono_b, coeff_b in right)
-            _accumulate(acc, products)
+        for key_a, coeff_a in self._terms.items():
+            _accumulate(acc, ((key_a + key_b, coeff_a * coeff_b) for key_b, coeff_b in right))
+        _check_guards(acc)
         return Polynomial._raw(acc)
 
     __rmul__ = __mul__
@@ -311,31 +313,25 @@ class Polynomial:
         """
         if not assignment:
             return self
+        keyed = set(assignment)
         values: dict[int, Polynomial] = {}
         for var, val in assignment.items():
             poly = _as_poly(val)
             if poly is None:
                 raise TypeError(f"assignment for {var} must be a Polynomial or int")
             values[var.slot] = poly
-        keyed = set(assignment)
-        for var in assignment:
-            clash = values[var.slot].variables() & keyed
+            clash = poly.variables() & keyed
             if clash:
                 names = ", ".join(sorted(v.name for v in clash))
                 raise RecursiveAssignment(
                     f"value for {var.name} mentions assigned variable(s): {names}"
                 )
-        acc: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            kept = list(mono)
-            factors = []
-            for slot, exp in enumerate(mono):
-                if exp and slot in values:
-                    kept[slot] = 0
-                    factors.append(values[slot] ** exp)
-            piece = Polynomial._raw({_monomial(kept): coeff})
-            for factor in factors:
-                piece = piece * factor
+        assigned = sum(_MASK << (_WIDTH * slot) for slot in values)  # the assigned fields
+        acc: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            piece = Polynomial._raw({key & ~assigned: coeff})
+            for slot, value in values.items():
+                piece = piece * value ** ((key >> (_WIDTH * slot)) & _MASK)
             _accumulate(acc, piece._terms.items())
         return Polynomial._raw(acc)
 
@@ -364,19 +360,16 @@ class Polynomial:
         if ascending:
             items.reverse()
         parts: list[str] = []
-        for position, (mono, coeff) in enumerate(items):
+        for key, coeff in items:
             magnitude = abs(coeff)
-            if mono.is_unit():
+            if not key:
                 body = str(magnitude)
             elif magnitude == 1:
-                body = mono.display_str()
+                body = monomial_str(key)
             else:
-                body = f"{magnitude}{mono.display_str()}"
-            if position == 0:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if coeff > 0 else f"-{body}")
-        return "".join(parts)
+                body = f"{magnitude}{monomial_str(key)}"
+            parts.append(f"+{body}" if coeff > 0 else f"-{body}")
+        return "".join(parts).removeprefix("+")
 
     def __repr__(self) -> str:
         return self.format_plain()
@@ -384,38 +377,41 @@ class Polynomial:
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> list:
+        fields = -(-reduce(or_, self._terms, 0).bit_length() // _WIDTH)
+        unpack, size = _reader(fields)
+        names = [_slot_name(slot) for slot in range(fields)]
         return [
             {
                 "coeff": str(coeff),
-                "monomial": {_slot_name(slot): e for slot, e in enumerate(mono) if e},
+                "monomial": {
+                    names[slot]: e for slot, e in enumerate(unpack(key.to_bytes(size, "little"))) if e
+                },
             }
-            for mono, coeff in self.sorted_terms()
+            for key, coeff in self.sorted_terms()
         ]
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "Polynomial":
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for item in obj:
             powers = {Variable(name): _json_int(e) for name, e in item["monomial"].items()}
-            mono = Monomial(powers)
-            acc[mono] = acc.get(mono, 0) + _json_int(item["coeff"], text=True)
+            key = monomial(powers)
+            acc[key] = acc.get(key, 0) + _json_int(item["coeff"], text=True)
         return cls(acc)
 
 
 _ZERO = Polynomial._raw({})
-_ONE = Polynomial._raw({_UNIT_MONOMIAL: 1})
+_ONE = Polynomial._raw({0: 1})
 
 
-def _accumulate(
-    acc: dict[Monomial, int], terms: Iterable[tuple[Monomial, int]], sign: int = 1
-) -> None:
+def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]], sign: int = 1) -> None:
     """acc += sign * terms, in place, dropping every coefficient that cancels to zero."""
-    for mono, coeff in terms:
-        total = acc.get(mono, 0) + sign * coeff
+    for key, coeff in terms:
+        total = acc.get(key, 0) + sign * coeff
         if total:
-            acc[mono] = total
+            acc[key] = total
         else:
-            acc.pop(mono, None)
+            acc.pop(key, None)
 
 
 def _json_int(value: object, text: bool = False) -> int:
@@ -428,7 +424,7 @@ def _json_int(value: object, text: bool = False) -> int:
 def _as_poly(value: object) -> Polynomial | None:
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Polynomial.constant(value)
     return None
 
@@ -448,7 +444,7 @@ class Series:
             poly = _as_poly(c)
             if poly is None:
                 raise TypeError("series coefficients must be Polynomial or int")
-            if poly.degree_in(Z):
+            if reduce(or_, poly._terms, 0) & _MASK:  # a term with z
                 raise ValueError("series coefficients must not contain z")
             out.append(poly)
         if not out:
@@ -563,12 +559,12 @@ def series_from_poly(p: Polynomial, order: int) -> Series:
     """Split p by powers of z into slots 0..order; higher powers are dropped."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    buckets: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
-    for mono, coeff in p._terms.items():
-        zdeg = mono[0] if mono else 0
+    buckets: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for key, coeff in p._terms.items():
+        zdeg = key & _MASK
         if zdeg <= order:
             # Distinct monomials of p differ off slot 0 when their z-degrees agree.
-            buckets[zdeg][_monomial([0, *mono[1:]])] = coeff
+            buckets[zdeg][key - zdeg] = coeff
     return Series([Polynomial._raw(b) for b in buckets])
 
 
@@ -578,7 +574,7 @@ def series_mul(a: Series, b: Series) -> Series:
     ac, bc = a.coefficients, b.coefficients
     out: list[Polynomial] = []
     for n in range(order + 1):
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for j in range(n + 1):
             _accumulate(acc, (ac[j] * bc[n - j])._terms.items())
         out.append(Polynomial._raw(acc))
@@ -588,8 +584,6 @@ def series_mul(a: Series, b: Series) -> Series:
 def series_inverse(s: Series) -> Series:
     """Invert a series with constant coefficient 1: the quotient 1 / s, so
     that s * t == 1 exactly through the order of s."""
-    if not s.coefficient(0).is_one():
-        raise NonUnitConstantTerm("series inversion requires constant coefficient 1")
     return series_div(Series([_ONE] + [_ZERO] * s.order), s)
 
 
@@ -607,7 +601,7 @@ def series_div(num: Series, den: Series) -> Series:
     nc, dc = num.coefficients, den.coefficients
     quot: list[Polynomial] = [nc[0]]
     for n in range(1, order + 1):
-        acc: dict[Monomial, int] = dict(nc[n]._terms)
+        acc: dict[int, int] = dict(nc[n]._terms)
         for j in range(1, n + 1):
             dj = dc[j]
             if dj.is_zero():

@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -75,6 +76,49 @@ def test_enumerate_golden(tmp_path):
     code, data = run_main_to_file(tmp_path, ["enumerate", "--length", "3"])
     assert code == 0
     assert data == golden_bytes("enumerate_length3.txt")
+
+
+# Full sha256 of larger outputs, so that any change of a digit, a term's
+# position or a separator anywhere in them shows.
+OUTPUT_SHA256 = {
+    "verify --max-length 11": (
+        "c904e4bc9d2f3c1409c52908a6d7b7ecfba147674918edd9860ceb00a41c99ff"
+    ),
+    "verify --max-length 8 --format json": (
+        "0ef3865a9ab445d984f1095141dacff09b5d058c6e1743e8fe863bd7dbc2bd0b"
+    ),
+    "cfrac --depth 12 --order 12 --generic --format json": (
+        "23c964c794579e6e0c208a7099818762073f15c55cd8d2a0055a257c3b4922c4"
+    ),
+    "cfrac --depth 6 --order 8 --generic": (
+        "331040b2e0b10dfedd1675307e122eca4b5ca01a5b044f4449ad3c81c62d6eed"
+    ),
+    "cfrac --depth 5 --tail one --order 9 --generic --format csv": (
+        "686a9e8acd97b61cb2ddd27c182d32527dc3b756fd4576c938871b88342ac1ce"
+    ),
+    "cfrac --depth 7 --order 20": (
+        "6128a16754d4b899ffe57d5b61dfdff6e9775ef496cea082edfc595c17b1ea77"
+    ),
+    "expand --letter 5 --order 192 --format json": (
+        "8333a3333e277c89006228ecb75c73eb4971c24706d2c69696c0f409d4df1ed8"
+    ),
+    "rational --letter 7 --format json": (
+        "7e9b863d6af0f4b284336bf27312d57071bfd02aed197a660db78523b1c9399a"
+    ),
+    "expand --letter 3 --order 20 --format csv": (
+        "bfbada2b8b2861feb9dde430e83482d030e044abf24d977a726d51ec67e0fbef"
+    ),
+    "rational --letter 4": (
+        "275885df0c32d8c96868e66a199206fbe6de607217c46c5c90ec737f0e9d0a54"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_SHA256)
+def test_output_sha256(tmp_path, command):
+    code, data = run_main_to_file(tmp_path, command.split())
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command]
 
 
 def test_stdout_matches_file_output(tmp_path, capsys):

@@ -19,7 +19,7 @@ from catwords.oracle import (
     multiset_of,
     tally,
 )
-from catwords.polyring import Monomial, Polynomial, V, letter
+from catwords.polyring import Polynomial, V, letter, monomial
 
 Vp = Polynomial.var(V)
 
@@ -179,7 +179,7 @@ def reference_multiset(n):
     acc = {}
     for word in enumerate_words(n):
         occurrences = Counter(word)
-        mono = Monomial({letter(j): count for j, count in occurrences.items()})
+        mono = monomial({letter(j): count for j, count in occurrences.items()})
         acc[mono] = acc.get(mono, 0) + 1
     return Polynomial(acc)
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact polynomial and series layer."""
 
 import json
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from catwords.polyring import (
     C,
-    Monomial,
     NonUnitConstantTerm,
     Polynomial,
     RecursiveAssignment,
@@ -17,7 +17,10 @@ from catwords.polyring import (
     V,
     Variable,
     Z,
+    exponents,
     letter,
+    monomial,
+    monomial_str,
     series_div,
     series_from_poly,
     series_inverse,
@@ -60,20 +63,20 @@ def test_variable_names():
 
 
 def test_monomial_canonical_form():
-    assert Monomial() == Monomial({})
-    assert Monomial().is_unit()
-    assert Monomial({Z: 2, V: 1}) == Monomial([(V, 1), (Z, 2)])
-    assert Monomial({Z: 1}) != Monomial({Z: 2})
+    assert monomial() == monomial({})
+    assert monomial() == 0  # the unit monomial
+    assert monomial({Z: 2, V: 1}) == monomial([(V, 1), (Z, 2)])
+    assert monomial({Z: 1}) != monomial({Z: 2})
     with pytest.raises(ValueError):
-        Monomial({Z: 0})
+        monomial({Z: 0})
     with pytest.raises(ValueError):
-        Monomial({Z: -1})
+        monomial({Z: -1})
 
 
 def test_monomial_times_merges_exponents():
-    m = Monomial({Z: 1, V: 2}).times(Monomial({V: 1, C: 3}))
-    assert m == Monomial({Z: 1, V: 3, C: 3})
-    assert Monomial().times(m) == m
+    m = monomial({Z: 1, V: 2}) + monomial({V: 1, C: 3})  # a product adds the keys
+    assert m == monomial({Z: 1, V: 3, C: 3})
+    assert monomial() + m == m
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -296,15 +299,16 @@ def test_series_json_roundtrip():
 # -- properties ---------------------------------------------------------------
 
 variables = st.sampled_from([Z, V, C, letter(1), letter(2), letter(3)])
-monomials = st.dictionaries(variables, st.integers(1, 3), max_size=3).map(Monomial)
+monomials = st.dictionaries(variables, st.integers(1, 3), max_size=3).map(monomial)
 coefficients = st.integers(-9, 9).filter(lambda n: n != 0)
 polynomials = st.dictionaries(monomials, coefficients, max_size=5).map(Polynomial)
 
 
 def assert_canonical(p):
-    for mono, coeff in p.sorted_terms():
+    for key, coeff in p.sorted_terms():
         assert coeff != 0
-        assert all(exp > 0 for _, exp in mono.powers)
+        assert all(exp > 0 for _, exp in exponents(key).items())
+        assert monomial(exponents(key)) == key
 
 
 @given(polynomials, polynomials, polynomials)
@@ -337,7 +341,7 @@ def test_specialize_composes_on_disjoint_domains(p, a, b):
 
 zfree_monomials = st.dictionaries(
     st.sampled_from([V, letter(1)]), st.integers(1, 2), max_size=2
-).map(Monomial)
+).map(monomial)
 zfree_polynomials = st.dictionaries(zfree_monomials, coefficients, max_size=2).map(Polynomial)
 
 
@@ -412,14 +416,157 @@ power_maps = st.dictionaries(slot_variables, st.integers(1, 4), max_size=6)
 @given(st.lists(power_maps, max_size=10))
 @example([{Z: 3}, {C: 2}, {}, {Z: 1, C: 1}, {V: 1, letter(12): 2}, {Z: 1, letter(7): 1}])
 def test_slot_order_and_display_match_reference(maps):
-    unique = list({Monomial(powers): powers for powers in maps}.items())
-    by_slot = sorted(unique, key=lambda item: item[0].sort_key())
+    unique = list({monomial(powers): powers for powers in maps}.items())
+    by_slot = Polynomial({key: 1 for key, _ in unique}).sorted_terms()
     by_rank = sorted(unique, key=lambda item: reference_sort_key(item[1]))
-    assert [mono for mono, _ in by_slot] == [mono for mono, _ in by_rank]
-    for mono, powers in unique:
-        assert mono.display_str() == reference_display(powers)
-        assert repr(mono) == reference_display(powers)
+    assert [key for key, _ in by_slot] == [key for key, _ in by_rank]
+    for key, powers in unique:
+        assert monomial_str(key) == reference_display(powers)
+        assert repr(Polynomial({key: 1})) == reference_display(powers)
         names = [v.name for v, _ in sorted(powers.items(), key=lambda i: reference_ranks(i[0]))]
-        assert list(Polynomial({mono: 1}).to_json_obj()[0]["monomial"]) == names
-        assert mono.powers == tuple(sorted(powers.items()))
-        assert not mono or mono[-1] > 0  # no trailing zero exponents
+        assert list(Polynomial({key: 1}).to_json_obj()[0]["monomial"]) == names
+        assert tuple(exponents(key).items()) == tuple(sorted(powers.items()))
+
+
+# -- packed keys: coefficient types and the field limit -------------------------
+
+
+def test_coefficients_must_be_ints():
+    for bad in (True, False, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            ZERO + bad
+        with pytest.raises(TypeError):
+            Polynomial({monomial(): bad})
+        with pytest.raises(TypeError):
+            Polynomial.constant(bad)
+        with pytest.raises(TypeError):
+            Series([bad, 2])
+    with pytest.raises(ValueError):
+        Polynomial({-1: 1})
+    assert Polynomial({monomial(): 2}) == 2
+
+
+def test_exponent_limit_raises_and_never_wraps():
+    top = 2**31 - 1
+    edge = Polynomial({monomial({V: top}): 1})
+    assert edge.degree_in(V) == top and edge.degree_in(letter(1)) == 0
+    assert Polynomial.from_json_obj(edge.to_json_obj()) == edge
+    with pytest.raises(OverflowError):
+        edge * Vp
+    half = Polynomial({monomial({V: 2**30, letter(1): 1}): 1})
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        half.specialize({letter(1): Polynomial({monomial({V: 2**30}): 1})})
+    with pytest.raises(OverflowError):
+        monomial({V: 2**31})
+    with pytest.raises(OverflowError):
+        Polynomial.from_json_obj([{"coeff": "1", "monomial": {"V": 2**31}}])
+    with pytest.raises(OverflowError):
+        Polynomial({monomial({V: top}) + monomial({V: 1}): 1})
+
+
+# -- packed keys against the tuple-keyed reference ------------------------------
+
+# The representation before monomials were packed into ints: a dict from the
+# tuple of exponents by slot, with no trailing zeros, to a nonzero int.
+REFERENCE_VARIABLES = [Z, C, V, letter(1), letter(2), letter(3)]  # listed by slot
+
+
+def ref_from_powers(powers):
+    exps = [0] * len(REFERENCE_VARIABLES)
+    for var, exp in powers.items():
+        exps[var.slot] = exp
+    while exps and not exps[-1]:
+        exps.pop()
+    return tuple(exps)
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, 0) + sign * coeff
+        if not out[mono]:
+            del out[mono]
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for mono_a, coeff_a in a.items():
+        for mono_b, coeff_b in b.items():
+            mono = tuple(x + y for x, y in zip_longest(mono_a, mono_b, fillvalue=0))
+            out = ref_add(out, {mono: coeff_a * coeff_b})
+    return out
+
+
+def ref_specialize(a, var, value):
+    out = {}
+    for mono, coeff in a.items():
+        exp = mono[var.slot] if var.slot < len(mono) else 0
+        kept = ref_from_powers({v: e for v, e in zip(REFERENCE_VARIABLES, mono) if v != var})
+        piece = {kept: coeff}
+        for _ in range(exp):
+            piece = ref_mul(piece, value)
+        out = ref_add(out, piece)
+    return out
+
+
+def ref_series_div(num, den):
+    quot = [num[0]]
+    for n in range(1, min(len(num), len(den))):
+        acc = num[n]
+        for j in range(1, n + 1):
+            acc = ref_add(acc, ref_mul(den[j], quot[n - j]), -1)
+        quot.append(acc)
+    return quot
+
+
+def ref_sort_key(mono):
+    return (mono[0] if mono else 0, tuple(-e for e in mono[1:]) + (1,))
+
+
+def assert_matches_reference(packed, ref):
+    """Equal term for term, and listed in the same order by sorted_terms."""
+    expected = [
+        (monomial({v: e for v, e in zip(REFERENCE_VARIABLES, mono) if e}), coeff)
+        for mono, coeff in sorted(ref.items(), key=lambda item: ref_sort_key(item[0]))
+    ]
+    assert packed.sorted_terms() == expected
+
+
+def reference_polynomials(names, max_size=5):
+    powers = st.dictionaries(st.sampled_from(names), st.integers(1, 3), max_size=3)
+    return st.dictionaries(powers.map(ref_from_powers), coefficients, max_size=max_size)
+
+
+def packed(ref):
+    return Polynomial(
+        {monomial({v: e for v, e in zip(REFERENCE_VARIABLES, m) if e}): c for m, c in ref.items()}
+    )
+
+
+ref_polynomials = reference_polynomials(REFERENCE_VARIABLES)
+
+
+@given(ref_polynomials, ref_polynomials, reference_polynomials([Z, V, C, letter(2)], 3))
+def test_packed_arithmetic_matches_tuple_reference(a, b, value):
+    assert_matches_reference(packed(a) + packed(b), ref_add(a, b))
+    assert_matches_reference(packed(a) - packed(b), ref_add(a, b, -1))
+    assert_matches_reference(packed(a) * packed(b), ref_mul(a, b))
+    specialized = packed(a).specialize({letter(1): packed(value)})
+    assert_matches_reference(specialized, ref_specialize(a, letter(1), value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(reference_polynomials([V, C, letter(1)], 3), min_size=1, max_size=6),
+    st.lists(reference_polynomials([V, C, letter(1)], 3), max_size=6),
+)
+def test_packed_series_div_matches_tuple_reference(num, den_tail):
+    den = [{(): 1}, *den_tail]
+    quot = series_div(Series(map(packed, num)), Series(map(packed, den)))
+    expected = ref_series_div(num, den)
+    assert quot.order == len(expected) - 1
+    for coeff, ref in zip(quot.coefficients, expected):
+        assert_matches_reference(coeff, ref)
