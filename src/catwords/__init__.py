@@ -8,100 +8,12 @@ occurrence series, closed rational forms, and bounded-letter counts -- and it
 verifies every coefficient against direct enumeration.
 """
 
-from .catalan import (
-    catalan_numbers,
-    catalan_series,
-    check_functional_equation,
-    functional_equation_holds,
-)
-from .cfrac import (
-    TAIL_CATALAN,
-    TAIL_ONE,
-    Convergent,
-    InsufficientQuotients,
-    LetterGF,
-    PartialQuotient,
-    bounded_letter_series,
-    convergent,
-    expand_ratio,
-    generic_quotients,
-    gf_full,
-    letter_gf_series,
-    rational_form,
-    tail_convergent,
-    uniform_quotients,
-    unweighted_series,
-)
-from .oracle import (
-    CatalanWord,
-    Histogram,
-    UnderTracked,
-    bounded_count,
-    enumerate_words,
-    format_word,
-    is_catalan_word,
-    letter_histogram,
-    monomial_multiset,
-)
-from .polyring import (
-    C,
-    NonUnitConstantTerm,
-    Polynomial,
-    RecursiveAssignment,
-    Series,
-    V,
-    Variable,
-    Z,
-    letter,
-    series_div,
-    series_from_poly,
-    series_inverse,
-    series_mul,
-)
+from .catalan import *
+from .cfrac import *
+from .oracle import *
+from .polyring import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C",
-    "CatalanWord",
-    "Convergent",
-    "Histogram",
-    "InsufficientQuotients",
-    "LetterGF",
-    "NonUnitConstantTerm",
-    "PartialQuotient",
-    "Polynomial",
-    "RecursiveAssignment",
-    "Series",
-    "TAIL_CATALAN",
-    "TAIL_ONE",
-    "UnderTracked",
-    "V",
-    "Variable",
-    "Z",
-    "bounded_count",
-    "bounded_letter_series",
-    "catalan_numbers",
-    "catalan_series",
-    "check_functional_equation",
-    "convergent",
-    "enumerate_words",
-    "expand_ratio",
-    "format_word",
-    "functional_equation_holds",
-    "generic_quotients",
-    "gf_full",
-    "is_catalan_word",
-    "letter",
-    "letter_gf_series",
-    "letter_histogram",
-    "monomial_multiset",
-    "rational_form",
-    "series_div",
-    "series_from_poly",
-    "series_inverse",
-    "series_mul",
-    "tail_convergent",
-    "uniform_quotients",
-    "unweighted_series",
-]
+# Each public name is declared once, in its module's __all__.
+__all__ = catalan.__all__ + cfrac.__all__ + oracle.__all__ + polyring.__all__

@@ -35,9 +35,10 @@ def catalan_series(order: int) -> Series:
 
 
 def functional_equation_holds(series: Series) -> bool:
-    """Whether 1 + z * S(z)^2 == S(z) exactly through the order of S."""
-    lhs = series_mul(series, series).shift(1) + 1
-    return lhs == series
+    """Whether 1 + z * S(z)^2 == S(z) exactly through the order of S, that is
+    S_0 = 1 and S_n = (S*S)_{n-1} for n >= 1."""
+    coeffs, square = series.coefficients, series_mul(series, series).coefficients
+    return coeffs[0].is_one() and all(coeffs[n] == square[n - 1] for n in range(1, len(coeffs)))
 
 
 def check_functional_equation(order: int) -> bool:

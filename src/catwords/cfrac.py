@@ -50,7 +50,6 @@ from .catalan import catalan_numbers, catalan_series
 from .polyring import (
     C,
     Polynomial,
-    PolynomialLike,
     Series,
     V,
     Z,
@@ -76,7 +75,6 @@ __all__ = [
     "gf_full",
     "letter_gf_series",
     "rational_form",
-    "tail_convergent",
     "uniform_quotients",
     "unweighted_series",
 ]
@@ -108,17 +106,11 @@ class PartialQuotient:
 
 @dataclass(frozen=True)
 class Convergent:
-    """The numerator/denominator pair (h, k) at a truncation depth.
-
-    ``tail`` records how the final quotient was closed off: None for a plain
-    truncation, "one" when it was multiplied by 1, "C" when it carries the
-    formal tail symbol.
-    """
+    """The numerator/denominator pair (h, k) at a truncation depth."""
 
     depth: int
     h: Polynomial
     k: Polynomial
-    tail: str | None = None
 
     def __post_init__(self) -> None:
         if self.k.constant_term != 1:
@@ -193,27 +185,7 @@ def _tail_parts(depth: int, quotients: Sequence[PartialQuotient]) -> tuple[Polyn
 def convergent(depth: int, quotients: Sequence[PartialQuotient]) -> Convergent:
     """The plain convergent h_depth / k_depth."""
     _, h, _, k = _run_recurrences(_quotient_values(depth, quotients))
-    return Convergent(depth, h, k, tail=None)
-
-
-def tail_convergent(
-    depth: int, quotients: Sequence[PartialQuotient], tail_factor: PolynomialLike
-) -> Convergent:
-    """Convergent whose final quotient is multiplied by a tail factor.
-
-    The factor must be 1 (identical to the plain convergent) or the formal
-    symbol C, which the result then holds linearly: h = h0 + h1*C.
-    """
-    if depth < 1:
-        raise ValueError("a tail requires depth >= 1")
-    if tail_factor == _ONE:
-        tag = "one"
-    elif tail_factor == _C:
-        tag = "C"
-    else:
-        raise ValueError("tail factor must be 1 or the symbol C")
-    h0, h1, k0, k1 = _tail_parts(depth, quotients)
-    return Convergent(depth, h0 + h1 * tail_factor, k0 + k1 * tail_factor, tail=tag)
+    return Convergent(depth, h, k)
 
 
 def expand_ratio(numerator: Polynomial, denominator: Polynomial, order: int) -> Series:

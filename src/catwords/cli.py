@@ -231,8 +231,11 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
             expected, actual = expected.coefficient(key), actual.coefficient(key)
         checks.append(Check(description, "fail", str(expected), str(actual), at))
 
-    # Truncation never changes lower coefficients, so each letter and bounded
-    # series is expanded once, at order max_length, and read at every n.
+    # Truncation never changes lower coefficients, so each series is expanded
+    # once, at order max_length, and read at every n.  A word of length n never
+    # uses a letter above n, so the multivariate series at depth max_length has
+    # the same z^n coefficient as at depth n.
+    full = cfrac.gf_full(max_length, cfrac.TAIL_CATALAN, max_length)
     letter_series = {i: cfrac.letter_gf_series(i, max_length) for i in tracked}
     heights = range(1, max_length + 1)
     bounded_series = {h: cfrac.bounded_letter_series(h, max_length) for h in heights}
@@ -243,7 +246,6 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
         words_total += count
         add(f"n={n} word count", cat[n], count)
 
-        full = cfrac.gf_full(n, cfrac.TAIL_CATALAN, n)
         add(f"n={n} multivariate coefficient", oracle.multiset_of(counts), full.coefficient(n))
 
         for i in tracked:

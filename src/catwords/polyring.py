@@ -11,8 +11,8 @@ between fields; a product whose exponent reaches 2^31 raises OverflowError
 instead of wrapping.  ``monomial`` builds a key, ``exponents`` reads it back
 and ``monomial_str`` prints it.  Terms are sorted and serialized in slot
 order; printed monomials use the display order z, V, v1, v2, ..., C.  Every
-operation returns a canonical form (no stored zero coefficients) in one fixed
-term order, so printed and serialized output is deterministic.
+operation returns a canonical form (no zero coefficients) in one term order,
+so output is deterministic.  A series sum or product takes two series.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "monomial_str",
     "series_div",
     "series_from_poly",
-    "series_inverse",
     "series_mul",
 ]
 
@@ -49,7 +48,7 @@ class RecursiveAssignment(ValueError):
 
 
 class NonUnitConstantTerm(ValueError):
-    """Series inversion needs the constant coefficient to be exactly 1."""
+    """Series division needs the denominator's constant coefficient to be exactly 1."""
 
 
 _NAMED_SLOTS = {"z": 0, "C": 1, "V": 2}
@@ -95,11 +94,6 @@ class Variable:
     @property
     def name(self) -> str:
         return _slot_name(self.slot)
-
-    @property
-    def index(self) -> int | None:
-        """Letter index for v1, v2, ...; None for z, V, C."""
-        return self.slot - 2 if self.slot > 2 else None
 
     def __hash__(self) -> int:
         return hash(self.slot)
@@ -188,7 +182,6 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> "Polynomial":
-        assert all(coeff != 0 for coeff in terms.values())  # canonical-form closure
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
@@ -229,10 +222,6 @@ class Polynomial:
 
     def variables(self) -> frozenset[Variable]:
         return frozenset(exponents(reduce(or_, self._terms, 0)))
-
-    def degree_in(self, var: Variable) -> int:
-        shift = _WIDTH * var.slot
-        return max(((key >> shift) & _MASK for key in self._terms), default=0)
 
     def sorted_terms(self) -> list[tuple[int, int]]:
         """Terms in the canonical order used for printing and serialization:
@@ -433,7 +422,7 @@ class Series:
     """A power series in z truncated at a fixed order.
 
     ``coefficients[n]`` is the coefficient of z^n and is a polynomial free of
-    z.  Mixed-order arithmetic truncates to the smaller order.
+    z.  A sum or product takes two series and truncates to the smaller order.
     """
 
     __slots__ = ("_coeffs",)
@@ -466,50 +455,16 @@ class Series:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "Series" | PolynomialLike) -> "Series":
-        if isinstance(other, Series):
-            order = min(self.order, other.order)
-            return Series(
-                [self._coeffs[n] + other._coeffs[n] for n in range(order + 1)]
-            )
-        poly = _as_poly(other)
-        if poly is None:
+    def __add__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
             return NotImplemented
-        return Series([self._coeffs[0] + poly, *self._coeffs[1:]])
+        order = min(self.order, other.order)
+        return Series([self._coeffs[n] + other._coeffs[n] for n in range(order + 1)])
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self._coeffs])
-
-    def __sub__(self, other: "Series" | PolynomialLike) -> "Series":
-        if isinstance(other, Series):
-            return self + (-other)
-        poly = _as_poly(other)
-        if poly is None:
+    def __mul__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
             return NotImplemented
-        return self + (-poly)
-
-    def __rsub__(self, other: PolynomialLike) -> "Series":
-        return (-self) + other
-
-    def __mul__(self, other: "Series" | PolynomialLike) -> "Series":
-        if isinstance(other, Series):
-            return series_mul(self, other)
-        poly = _as_poly(other)
-        if poly is None:
-            return NotImplemented
-        return Series([c * poly for c in self._coeffs])
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int = 1) -> "Series":
-        """Multiply by z^k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
-        size = self.order + 1
-        kept = self._coeffs[: max(size - k, 0)]
-        return Series([_ZERO] * min(k, size) + list(kept))
+        return series_mul(self, other)
 
     def specialize(self, assignment: Mapping[Variable, PolynomialLike]) -> "Series":
         """Apply a substitution to every coefficient (must stay z-free)."""
@@ -521,8 +476,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    __hash__ = None  # type: ignore[assignment]
 
     def format_plain(self) -> str:
         """Rendering such as ``1 + z + 2 z^2 + (41+V) z^5`` (zero terms skipped)."""
@@ -579,12 +532,6 @@ def series_mul(a: Series, b: Series) -> Series:
             _accumulate(acc, (ac[j] * bc[n - j])._terms.items())
         out.append(Polynomial._raw(acc))
     return Series(out)
-
-
-def series_inverse(s: Series) -> Series:
-    """Invert a series with constant coefficient 1: the quotient 1 / s, so
-    that s * t == 1 exactly through the order of s."""
-    return series_div(Series([_ONE] + [_ZERO] * s.order), s)
 
 
 def series_div(num: Series, den: Series) -> Series:

@@ -59,4 +59,5 @@ def test_functional_equation_detects_perturbation():
 def test_series_is_inverse_of_one_minus_z_c():
     n = 12
     c = catalan_series(n)
-    assert series_mul(c, 1 - c.shift(1)) == Series([1] + [0] * n)
+    one_minus_zc = Series([1, *(-count for count in catalan_numbers(n - 1))])
+    assert series_mul(c, one_minus_zc) == Series([1] + [0] * n)

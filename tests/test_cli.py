@@ -493,16 +493,20 @@ def test_output_replaces_file_and_writes_through_pipes(tmp_path):
 def test_verify_expands_each_series_once(monkeypatch):
     import catwords.cfrac
 
-    orders = []
+    calls = []
 
-    def counted(original):
-        def expand(index, order):
-            orders.append(order)
-            return original(index, order)
+    def counted(name, original):
+        def expand(*args):
+            calls.append((name, args))
+            return original(*args)
 
         return expand
 
-    for name in ("letter_gf_series", "bounded_letter_series"):
-        monkeypatch.setattr(catwords.cfrac, name, counted(getattr(catwords.cfrac, name)))
+    for name in ("gf_full", "letter_gf_series", "bounded_letter_series"):
+        monkeypatch.setattr(catwords.cfrac, name, counted(name, getattr(catwords.cfrac, name)))
     assert run_verify(4).ok
-    assert orders == [4] * (5 + 4)
+    assert sorted(calls) == sorted(
+        [("gf_full", (4, TAIL_CATALAN, 4))]
+        + [("letter_gf_series", (i, 4)) for i in range(1, 6)]
+        + [("bounded_letter_series", (h, 4)) for h in range(1, 5)]
+    )

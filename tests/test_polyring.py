@@ -23,7 +23,6 @@ from catwords.polyring import (
     monomial_str,
     series_div,
     series_from_poly,
-    series_inverse,
     series_mul,
 )
 
@@ -53,8 +52,6 @@ def test_variable_total_order():
 def test_variable_names():
     assert Variable("v7") == letter(7)
     assert letter(3).name == "v3"
-    assert letter(3).index == 3
-    assert V.index is None
     for bad in ("", "x", "v0", "v", "v01", "zz"):
         with pytest.raises(ValueError):
             Variable(bad)
@@ -217,33 +214,38 @@ def test_series_mul_truncates_to_min_order():
     assert series_mul(long, short).order == 1
 
 
+def inverse(s):
+    """The series 1 / s, as the quotient of the unit series by s."""
+    return series_div(one_series(s.order), s)
+
+
 def test_series_inverse_geometric():
     s = series_from_poly(ONE - z, 4)
-    assert series_inverse(s) == Series([1, 1, 1, 1, 1])
+    assert inverse(s) == Series([1, 1, 1, 1, 1])
 
 
 def test_series_inverse_single_letter():
     # Oracle: the only Catalan word over letter 1 of each length is 1^n,
     # so the expansion of 1/(1 - z v1) must be sum of v1^n z^n.
     s = series_from_poly(ONE - z * vp(1), 3)
-    assert series_inverse(s) == Series([ONE, vp(1), vp(1) ** 2, vp(1) ** 3])
+    assert inverse(s) == Series([ONE, vp(1), vp(1) ** 2, vp(1) ** 3])
 
 
 def test_series_inverse_of_one():
-    assert series_inverse(one_series(5)) == one_series(5)
+    assert inverse(one_series(5)) == one_series(5)
 
 
 def test_series_inverse_requires_unit_constant():
     with pytest.raises(NonUnitConstantTerm):
-        series_inverse(Series([2, 1]))
+        inverse(Series([2, 1]))
     with pytest.raises(NonUnitConstantTerm):
-        series_inverse(Series([Vp, ONE]))
+        inverse(Series([Vp, ONE]))
 
 
 def test_series_div_matches_inverse_route():
     num = series_from_poly(ONE - z * vp(2), 6)
     den = series_from_poly(ONE - z * vp(1) - z * vp(2), 6)
-    assert series_div(num, den) == series_mul(num, series_inverse(den))
+    assert series_div(num, den) == series_mul(num, inverse(den))
     with pytest.raises(NonUnitConstantTerm):
         series_div(num, Series([2] + [0] * 6))
 
@@ -263,11 +265,10 @@ def test_series_validation():
 
 def test_series_add_and_shift():
     s = Series([1, 1, 2])
-    assert s + 1 == Series([2, 1, 2])
-    assert (1 - s) == Series([0, -1, -2])
-    assert s.shift(1) == Series([0, 1, 1])
-    assert s.shift(5) == Series([0, 0, 0])
+    assert s + Series([1, 1]) == Series([2, 2])
     assert (s + Series([1, 1])).order == 1
+    with pytest.raises(TypeError):
+        s + 1  # a series sum takes two series
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -328,7 +329,16 @@ def test_mul_distributes_over_add(a, b, c):
 
 @given(polynomials, polynomials)
 def test_operations_stay_canonical(a, b):
-    for result in (a + b, a - b, a * b, -a):
+    # Each route back to a known value cancels terms inside the operation, so a
+    # stored zero coefficient would show up there.
+    assert (a * (vp(1) - vp(2))).specialize({letter(1): vp(2)}).is_zero()
+    num, den = series_from_poly(a, 3), series_from_poly(ONE + z * b, 3)
+    quotient, product = series_div(num, den), series_mul(num, den)
+    assert series_mul(quotient, den) == num and series_div(product, den) == num
+    results = [a + b, a - b, a * b, -a, a.specialize({letter(1): vp(2) - 1, V: -1})]
+    for series in (num, den, num + den, quotient, product):
+        results.extend(series.coefficients)
+    for result in results:
         assert_canonical(result)
 
 
@@ -350,7 +360,7 @@ zfree_polynomials = st.dictionaries(zfree_monomials, coefficients, max_size=2).m
 def test_inverse_roundtrip(tail):
     s = Series([ONE, *tail])
     assert s.order <= 20
-    assert series_mul(s, series_inverse(s)) == one_series(s.order)
+    assert series_mul(s, inverse(s)) == one_series(s.order)
 
 
 # -- slot layout against the rank-based reference --------------------------------
@@ -449,7 +459,7 @@ def test_coefficients_must_be_ints():
 def test_exponent_limit_raises_and_never_wraps():
     top = 2**31 - 1
     edge = Polynomial({monomial({V: top}): 1})
-    assert edge.degree_in(V) == top and edge.degree_in(letter(1)) == 0
+    assert [exponents(key) for key, _ in edge.sorted_terms()] == [{V: top}]
     assert Polynomial.from_json_obj(edge.to_json_obj()) == edge
     with pytest.raises(OverflowError):
         edge * Vp
