@@ -202,6 +202,9 @@ def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) ->
         raise ValueError(f"order must be >= 0, got {order}")
     if tail_mode not in (TAIL_ONE, TAIL_CATALAN):
         raise ValueError(f"unknown tail mode: {tail_mode!r}")
+    # A word of length at most the order never uses a letter above the order,
+    # so a deeper convergent has the same coefficients through that order.
+    depth = min(depth, max(order, 1))
     h0, h1, k0, k1 = _tail_parts(depth, make_quotients(depth))
     if tail_mode == TAIL_ONE:
         return expand_ratio(h0 + h1, k0 + k1, order)

@@ -1,9 +1,9 @@
 """Command-line front end: expansions, closed forms, enumeration, verification.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
-when the output file cannot be written.  A reader that closes stdout early
-(``catwords enumerate --length 14 | head``) ends the run quietly with the
-status it would otherwise have had.
+when the output file or stdout cannot be written.  A reader that closes
+stdout early (``catwords enumerate --length 14 | head``) ends the run
+quietly with the status it would otherwise have had.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def iter_enumerate(
                 }
             )
         elif fmt == "csv":
-            yield hist.to_csv()
+            yield _csv_text(["k", "count"], sorted(hist.counts.items()))
         else:
             raise ValueError(f"unknown format: {fmt!r}")
         return
@@ -434,15 +434,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _write_chunks(chunks, args.output)
     except OSError as exc:
+        reason = exc.strerror or exc
         if args.output is not None:
-            reason = exc.strerror or exc
             print(f"catwords: error: cannot write {args.output}: {reason}", file=sys.stderr)
             return 2
-        if not isinstance(exc, BrokenPipeError):
-            raise
-        # The reader closed stdout (e.g. `| head`).  Point the descriptor at
-        # the null device so that the flush at interpreter exit cannot fail.
+        # Point the descriptor at the null device so that the flush at
+        # interpreter exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        # A reader that closed stdout (e.g. `| head`) ends the run quietly.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"catwords: error: cannot write stdout: {reason}", file=sys.stderr)
+            return 2
     return status

@@ -3,10 +3,13 @@
 A Catalan word a_1 ... a_n has a_1 = 1 and a_{i+1} <= a_i + 1.  Enumeration
 runs an explicit lexicographic-successor loop (no recursion), so long words
 are cheap and the strictly increasing yield order is part of the contract.
+Every statistic reads off one tally that counts the words by their letters
+in ascending order, so a word's key is the word sorted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -54,27 +57,20 @@ def enumerate_words(n: int, max_letter: int | None = None) -> Iterator[tuple[int
         raise ValueError(f"length must be >= 0, got {n}")
     if max_letter is not None and max_letter < 1:
         raise ValueError(f"max_letter must be >= 1, got {max_letter}")
-    if n == 0:
-        yield ()
-        return
-    word = [1] * n
+    top = max_letter or n
+    word, ones = [1] * n, [1] * n
     while True:
         yield tuple(word)
-        # Advance to the lexicographic successor: bump the rightmost letter
-        # that may still grow, reset everything after it to 1.
+        # The successor bumps the rightmost letter that may still grow (to at
+        # most one above its left neighbour, and not past top) and resets every
+        # letter after it to 1.
         i = n - 1
-        while i > 0:
-            cap = word[i - 1] + 1
-            if max_letter is not None and max_letter < cap:
-                cap = max_letter
-            if word[i] < cap:
-                word[i] += 1
-                for j in range(i + 1, n):
-                    word[j] = 1
-                break
+        while i > 0 and (word[i] > word[i - 1] or word[i] >= top):
             i -= 1
-        else:
+        if i <= 0:
             return
+        word[i] += 1
+        word[i + 1 :] = ones[i + 1 :]
 
 
 def format_word(word: tuple[int, ...]) -> str:
@@ -99,34 +95,21 @@ class Histogram:
         """The histogram encoded as a polynomial in V: sum of counts[k] * V^k."""
         return Polynomial({monomial({V: k} if k else {}): c for k, c in self.counts.items()})
 
-    def to_csv(self) -> str:
-        lines = ["k,count"]
-        lines.extend(f"{k},{self.counts[k]}" for k in sorted(self.counts))
-        return "\n".join(lines) + "\n"
 
+def tally(n: int) -> Counter[tuple[int, ...]]:
+    """Count the length-n words by their letters in ascending order, in one pass.
 
-def tally(n: int) -> dict[tuple[int, ...], int]:
-    """Count the length-n words by occurrence vector, in one enumeration pass.
-
-    A word's key is the tuple of the occurrences of letters 1..m, where m is
-    its largest letter, so the key's length is that letter and ``tally(0)``
-    is ``{(): 1}``.  Every statistic below reads off this one dict.
+    A word's key is ``tuple(sorted(word))``: (1, 1, 2) stands for 112 and 121,
+    and ``tally(0)`` is ``{(): 1}``.  Every statistic below reads off this tally.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for word in enumerate_words(n):
-        occurrences = [0] * max(word, default=0)
-        for a in word:
-            occurrences[a - 1] += 1
-        key = tuple(occurrences)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter(tuple(sorted(word)) for word in enumerate_words(n))
 
 
 def multiset_of(counts: Mapping[tuple[int, ...], int]) -> Polynomial:
     """The tallied words as a polynomial: sum of prod_j v_j^(occurrences of j)."""
     return Polynomial(
         {
-            monomial({letter(j): e for j, e in enumerate(key, 1)}): count
+            monomial({letter(j): e for j, e in Counter(key).items()}): count
             for key, count in counts.items()
         }
     )
@@ -134,16 +117,15 @@ def multiset_of(counts: Mapping[tuple[int, ...], int]) -> Polynomial:
 
 def histogram_of(counts: Mapping[tuple[int, ...], int], n: int, i: int) -> Histogram:
     """How many of the tallied length-n words hold letter i exactly k times, per k."""
-    hist: dict[int, int] = {}
+    hist: Counter[int] = Counter()
     for key, count in counts.items():
-        k = key[i - 1] if 0 < i <= len(key) else 0
-        hist[k] = hist.get(k, 0) + count
+        hist[key.count(i)] += count
     return Histogram(letter=i, length=n, counts=dict(sorted(hist.items())))
 
 
 def bounded_count_of(counts: Mapping[tuple[int, ...], int], h: int) -> int:
     """How many of the tallied words have no letter above h."""
-    return sum(count for key, count in counts.items() if len(key) <= h)
+    return sum(count for key, count in counts.items() if max(key, default=0) <= h)
 
 
 def letter_histogram(n: int, i: int) -> Histogram:

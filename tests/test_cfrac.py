@@ -151,10 +151,14 @@ def test_gf_full_matches_enumerated_multiset(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 12), st.sampled_from([TAIL_ONE, TAIL_CATALAN]))
+@given(st.integers(1, 12), st.integers(0, 12), st.sampled_from([TAIL_ONE, TAIL_CATALAN]))
 @example(8, 12, TAIL_CATALAN)
 @example(8, 12, TAIL_ONE)
 @example(1, 0, TAIL_CATALAN)
+@example(12, 3, TAIL_CATALAN)
+@example(12, 3, TAIL_ONE)
+@example(5, 0, TAIL_CATALAN)
+@example(5, 0, TAIL_ONE)
 def test_tail_parts_match_substitution_route(depth, order, tail_mode):
     # The reference multiplies C into the last quotient and runs the plain recurrences.
     tail_value = ONE if tail_mode == TAIL_ONE else catalan_polynomial(order)
@@ -167,6 +171,29 @@ def test_tail_parts_match_substitution_route(depth, order, tail_mode):
         conv = convergent(depth, quotients)
         reference = expand_by_substitution(conv.h, conv.k, tail_value, order)
         assert expand(depth, tail_mode, order) == reference
+
+
+def test_expansion_never_runs_deeper_than_the_order(monkeypatch):
+    # A word of length at most the order never uses a letter above the order,
+    # so no expansion needs more than max(order, 1) quotients.
+    import catwords.cfrac
+
+    limit = {"quotients": 3}
+
+    def capped(make_quotients):
+        def make(n):
+            if n > limit["quotients"]:
+                raise AssertionError(f"asked for {n} quotients, limit {limit['quotients']}")
+            return make_quotients(n)
+
+        return make
+
+    for name in ("generic_quotients", "uniform_quotients"):
+        monkeypatch.setattr(catwords.cfrac, name, capped(getattr(catwords.cfrac, name)))
+    assert gf_full(40, TAIL_CATALAN, 3) == gf_full(3, TAIL_CATALAN, 3)
+    assert gf_full(40, TAIL_ONE, 3) == gf_full(3, TAIL_ONE, 3)
+    limit["quotients"] = 5
+    assert bounded_letter_series(10**6, 5) == bounded_letter_series(5, 5)
 
 
 @pytest.mark.parametrize("n", (2, 4))

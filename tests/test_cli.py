@@ -352,7 +352,7 @@ def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
         # v1^2v2 (112, 121) and v1v2^2 (122) trade counts; the word count still holds.
         counts = tally(n)
         if n == 3:
-            counts[(2, 1)], counts[(1, 2)] = counts[(1, 2)], counts[(2, 1)]
+            counts[(1, 1, 2)], counts[(1, 2, 2)] = counts[(1, 2, 2)], counts[(1, 1, 2)]
         return counts
 
     monkeypatch.setattr(catwords.oracle, "tally", swapped)
@@ -442,6 +442,22 @@ def test_closed_stdout_ends_quietly():
     assert first == b"11111111111\n"
     assert stderr == b""
     assert proc.returncode == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_two():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "catwords", "enumerate", "--length", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=CHILD_ENV,
+        )
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("catwords: error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_module_entry_point():

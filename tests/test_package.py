@@ -1,9 +1,11 @@
-"""The package surface and the README's library example."""
+"""The package surface and the README's library example and CLI transcripts."""
 
 import pathlib
+import shlex
 
 import catwords
 from catwords import catalan, cfrac, oracle, polyring
+from catwords.cli import main
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -33,3 +35,26 @@ def test_readme_library_example():
         assert repr(eval(code, namespace)) == comment.strip(), line
         checked += 1
     assert checked == 4
+
+
+def test_readme_cli_transcripts(capsys):
+    # Each `$ catwords ...` line in a text block prints the lines shown under
+    # it, up to the next `$` line or the closing fence; a `...` line stands for
+    # the lines between a shown prefix and a shown suffix.
+    fenced = README.read_text(encoding="utf-8").split("```text\n")[1:]
+    blocks = [block.split("```", 1)[0] for block in fenced]
+    transcripts = [t for block in blocks for t in ("\n" + block).split("\n$ ")[1:]]
+    for transcript in transcripts:
+        command, *shown = transcript.rstrip("\n").split("\n")
+        argv = shlex.split(command)
+        assert argv[0] == "catwords", command
+        assert main(argv[1:]) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        if "..." in shown:
+            cut = shown.index("...")
+            prefix, suffix = shown[:cut], shown[cut + 1 :]
+            assert out[: len(prefix)] == prefix, command
+            assert out[len(out) - len(suffix) :] == suffix, command
+        else:
+            assert out == shown, command
+    assert len(transcripts) == 6
