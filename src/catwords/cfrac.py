@@ -298,6 +298,12 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if letter_index < 1:
+        raise ValueError(f"letter must be >= 1, got {letter_index}")
+    if letter_index > order:
+        # A word of length at most the order never uses a larger letter, so
+        # every coefficient is the constant C_n; the closed form is not built.
+        return catalan_series(order)
     n0, n1, d0, d1 = _letter_parts(letter_index)
     a = _v_rows(_Z * n0 * d0 + (n0 + n1) * d1, z_shift=1)
     b = _v_rows(n1 * d0 - n0 * d1)

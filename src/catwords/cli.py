@@ -1,5 +1,12 @@
 """Command-line front end: expansions, closed forms, enumeration, verification.
 
+``expand``, ``cfrac`` and ``rational`` write their output as it is rendered,
+one coefficient (or part) at a time, so memory never holds the whole output
+string; each JSON polynomial is written directly in the layout that
+``json.dumps(..., indent=2)`` gives.  A letter above the expansion order costs
+nothing: no word that short uses it, so ``expand`` prints the Catalan numbers
+without building the letter's closed form.
+
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
 when the output file or stdout cannot be written.  A reader that closes
 stdout early (``catwords enumerate --length 14 | head``) ends the run
@@ -10,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -61,59 +67,113 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+class _Echo:
+    """A file whose write returns its text, so that csv.writer's writerow does."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_rows(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The lines of a CSV table, one chunk per row, header first."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow(row)
+
+
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return "".join(_csv_rows(header, rows))
 
 
-def _render_series(series: Series, fmt: str) -> str:
+def _json_terms(terms: list, depth: int) -> str:
+    """A ``Polynomial.to_json_obj()`` list as ``json.dumps(..., indent=2)`` writes
+    it as a value nested ``depth`` levels deep.  Its coefficient strings, variable
+    names and exponents need no escaping."""
+    if not terms:
+        return "[]"
+    pad0, pad1, pad2, pad3 = ("\n" + "  " * (depth + i) for i in range(4))
+    items = []
+    for term in terms:
+        powers = term["monomial"]
+        fields = f",{pad3}".join(f'"{name}": {e}' for name, e in powers.items())
+        monomial = f"{{{pad3}{fields}{pad2}}}" if powers else "{}"
+        items.append(f'{{{pad2}"coeff": "{term["coeff"]}",{pad2}"monomial": {monomial}{pad1}}}')
+    return f"[{pad1}" + f",{pad1}".join(items) + f"{pad0}]"
+
+
+def _render_series(series: Series, fmt: str) -> Iterator[str]:
+    """The rendered series, one chunk per coefficient."""
     if fmt == "plain":
-        return series.format_plain() + "\n"
-    if fmt == "json":
-        return _json_text(series.to_json_obj())
-    if fmt == "csv":
-        rows = [
-            [n, series.coefficient(n).format_plain(ascending=True)]
-            for n in range(series.order + 1)
-        ]
-        return _csv_text(["n", "coefficient"], rows)
-    raise ValueError(f"unknown format: {fmt!r}")
+        yield from series.iter_plain()
+        yield "\n"
+    elif fmt == "json":
+        yield f'{{\n  "order": {series.order},\n  "coeffs": ['
+        separator = "\n    "
+        for coeff in series.coefficients:
+            yield separator + _json_terms(coeff.to_json_obj(), 2)
+            separator = ",\n    "
+        yield "\n  ]\n}\n"
+    elif fmt == "csv":
+        rows = (
+            [n, coeff.format_plain(ascending=True)] for n, coeff in enumerate(series.coefficients)
+        )
+        yield from _csv_rows(["n", "coefficient"], rows)
+    else:
+        raise ValueError(f"unknown format: {fmt!r}")
+
+
+def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
+    """The rendered closed form, one chunk per part."""
+    if fmt == "plain":
+        yield f"numerator: {form.numerator.format_plain()}\n"
+        yield f"denominator: {form.denominator.format_plain()}\n"
+    elif fmt == "json":
+        yield f'{{\n  "letter": {form.letter},\n  "numerator": '
+        yield _json_terms(form.numerator.to_json_obj(), 1)
+        yield ',\n  "denominator": '
+        yield _json_terms(form.denominator.to_json_obj(), 1) + "\n}\n"
+    elif fmt == "csv":
+        rows = (
+            ["numerator", form.numerator.format_plain()],
+            ["denominator", form.denominator.format_plain()],
+        )
+        yield from _csv_rows(["part", "polynomial"], rows)
+    else:
+        raise ValueError(f"unknown format: {fmt!r}")
+
+
+def iter_expand(letter_index: int, order: int, fmt: str = "plain") -> Iterator[str]:
+    """Stream the per-letter occurrence series, one chunk per coefficient."""
+    return _render_series(cfrac.letter_gf_series(letter_index, order), fmt)
 
 
 def run_expand(letter_index: int, order: int, fmt: str = "plain") -> str:
     """Render the per-letter occurrence series."""
-    return _render_series(cfrac.letter_gf_series(letter_index, order), fmt)
+    return "".join(iter_expand(letter_index, order, fmt))
+
+
+def iter_cfrac(
+    depth: int, tail: str, order: int, generic: bool, fmt: str = "plain"
+) -> Iterator[str]:
+    """Stream the expansion of a convergent at the given depth, one chunk per coefficient."""
+    expand = cfrac.gf_full if generic else cfrac.unweighted_series
+    return _render_series(expand(depth, tail, order), fmt)
 
 
 def run_cfrac(depth: int, tail: str, order: int, generic: bool, fmt: str = "plain") -> str:
     """Render the expansion of a convergent at the given depth."""
-    if generic:
-        series = cfrac.gf_full(depth, tail, order)
-    else:
-        series = cfrac.unweighted_series(depth, tail, order)
-    return _render_series(series, fmt)
+    return "".join(iter_cfrac(depth, tail, order, generic, fmt))
+
+
+def iter_rational(letter_index: int, fmt: str = "plain") -> Iterator[str]:
+    """Stream the closed rational form for one tracked letter."""
+    return _render_rational(cfrac.rational_form(letter_index), fmt)
 
 
 def run_rational(letter_index: int, fmt: str = "plain") -> str:
     """Render the closed rational form for one tracked letter."""
-    form = cfrac.rational_form(letter_index)
-    if fmt == "plain":
-        return (
-            f"numerator: {form.numerator.format_plain()}\n"
-            f"denominator: {form.denominator.format_plain()}\n"
-        )
-    if fmt == "json":
-        return _json_text(form.to_json_obj())
-    if fmt == "csv":
-        rows = [
-            ["numerator", form.numerator.format_plain()],
-            ["denominator", form.denominator.format_plain()],
-        ]
-        return _csv_text(["part", "polynomial"], rows)
-    raise ValueError(f"unknown format: {fmt!r}")
+    return "".join(iter_rational(letter_index, fmt))
 
 
 def iter_enumerate(
@@ -420,11 +480,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     status = 0
     if args.command == "expand":
-        chunks: Iterable[str] = [run_expand(args.letter, args.order, args.format)]
+        chunks: Iterable[str] = iter_expand(args.letter, args.order, args.format)
     elif args.command == "cfrac":
-        chunks = [run_cfrac(args.depth, args.tail, args.order, args.generic, args.format)]
+        chunks = iter_cfrac(args.depth, args.tail, args.order, args.generic, args.format)
     elif args.command == "rational":
-        chunks = [run_rational(args.letter, args.format)]
+        chunks = iter_rational(args.letter, args.format)
     elif args.command == "enumerate":
         chunks = iter_enumerate(args.length, args.max_letter, args.histogram_letter, args.format)
     else:

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "C",
@@ -479,18 +479,25 @@ class Series:
 
     def format_plain(self) -> str:
         """Rendering such as ``1 + z + 2 z^2 + (41+V) z^5`` (zero terms skipped)."""
-        parts: list[str] = []
+        return "".join(self.iter_plain())
+
+    def iter_plain(self) -> Iterator[str]:
+        """``format_plain`` in pieces, one per nonzero coefficient: ``1``, `` + z``, ..."""
+        separator = ""
         for n, coeff in enumerate(self._coeffs):
             if coeff.is_zero():
                 continue
             text = coeff.format_plain(ascending=True)
             wrapped = f"({text})" if len(coeff) > 1 or text.startswith("-") else text
             if n == 0:
-                parts.append(wrapped)
-                continue
-            zpow = "z" if n == 1 else f"z^{n}"
-            parts.append(zpow if coeff.is_one() else f"{wrapped} {zpow}")
-        return " + ".join(parts) if parts else "0"
+                term = wrapped
+            else:
+                zpow = "z" if n == 1 else f"z^{n}"
+                term = zpow if coeff.is_one() else f"{wrapped} {zpow}"
+            yield separator + term
+            separator = " + "
+        if not separator:
+            yield "0"
 
     def __repr__(self) -> str:
         return self.format_plain()

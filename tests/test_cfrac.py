@@ -196,6 +196,32 @@ def test_expansion_never_runs_deeper_than_the_order(monkeypatch):
     assert bounded_letter_series(10**6, 5) == bounded_letter_series(5, 5)
 
 
+def test_letter_above_the_order_builds_no_closed_form(monkeypatch, capsys):
+    # Every coefficient is the constant C_n, so no quotient is asked for.
+    import catwords.cfrac
+    from catwords.cli import main
+
+    uniform = catwords.cfrac.uniform_quotients
+
+    def capped(n):
+        if n > 10:
+            raise AssertionError(f"asked for {n} quotients, limit 10")
+        return uniform(n)
+
+    monkeypatch.setattr(catwords.cfrac, "uniform_quotients", capped)
+    assert letter_gf_series(10**6, 5) == catalan_series(5)
+    assert main(["verify", "--max-length", "3", "--letters", "1", "1000000"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_letter_above_the_order_matches_histograms(order):
+    for i in range(order + 1, order + 5):
+        series = letter_gf_series(i, order)
+        for n in range(order + 1):
+            assert series.coefficient(n) == letter_histogram(n, i).as_polynomial()
+
+
 @pytest.mark.parametrize("n", (2, 4))
 def test_bounded_expansion_stabilizes_up_to_depth(n):
     order = n + 3

@@ -1,6 +1,8 @@
 """CLI behavior: golden outputs, formats, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,11 +11,13 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catwords
+import catwords.cli
 from catwords.cli import (
+    FORMATS,
     build_parser,
     main,
     render_verify,
@@ -35,7 +39,7 @@ from catwords.cfrac import (
     unweighted_series,
 )
 from catwords.oracle import enumerate_words, format_word
-from catwords.polyring import Series
+from catwords.polyring import C, Polynomial, Series, V, Z, letter, monomial
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -119,6 +123,38 @@ def test_output_sha256(tmp_path, command):
     code, data = run_main_to_file(tmp_path, command.split())
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command]
+
+
+def renders(family, fmt):
+    if family == "expand":
+        return [run_expand(i, order, fmt) for i in range(1, 7) for order in range(41)]
+    if family == "cfrac":
+        return [
+            run_cfrac(depth, tail, order, generic, fmt)
+            for depth in range(1, 9)
+            for order in range(11)
+            for tail in (TAIL_ONE, TAIL_CATALAN)
+            for generic in (False, True)
+        ]
+    return [run_rational(i, fmt) for i in range(1, 13)]
+
+
+# sha256 over every render of a family, format by format in the order of
+# FORMATS, so that a changed byte in any small case shows too.
+RENDERS_SHA256 = {
+    "expand": "7d18f64f3e38af5c06cd6aedccdad67aa6a6bde6c52d268222a207e9a4dad028",
+    "cfrac": "0c9c13c372a603c5a280a853e6c09059b45b6c2d8a52a8fdf71a11d61a95e13a",
+    "rational": "17aa2f9603fc31467778b1821fff2faf37201fd66dc917cec9d9349d8b5d42bb",
+}
+
+
+@pytest.mark.parametrize("family", RENDERS_SHA256)
+def test_renders_sha256(family):
+    digest = hashlib.sha256()
+    for fmt in FORMATS:
+        for text in renders(family, fmt):
+            digest.update(text.encode())
+    assert digest.hexdigest() == RENDERS_SHA256[family]
 
 
 def test_stdout_matches_file_output(tmp_path, capsys):
@@ -235,6 +271,89 @@ def test_cfrac_json_parses_back_to_series(depth, tail, order, generic):
 def test_rational_json_parses_back_to_letter_gf(letter_index):
     obj = json.loads(run_rational(letter_index, "json"))
     assert LetterGF.from_json_obj(obj) == rational_form(letter_index)
+
+
+# -- streamed renderers ------------------------------------------------------------
+
+
+LETTERS = [letter(i) for i in range(1, 13)]
+
+
+def polynomials(variables):
+    """Polynomials with the unit monomial, negative and wider-than-64-bit coefficients."""
+    powers = st.dictionaries(st.sampled_from(variables), st.integers(1, 40), max_size=4)
+    coeffs = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
+    return st.lists(st.tuples(powers.map(monomial), coeffs), max_size=6).map(Polynomial)
+
+
+def letter_gfs():
+    def build(letter_index, numerator, denominator):
+        return LetterGF(letter_index, numerator, denominator + (1 - denominator.constant_term))
+
+    parts = polynomials([Z, C, V, *LETTERS])
+    return st.builds(build, st.integers(1, 10**6), parts, parts)
+
+
+def csv_lines(rows):
+    """One csv.writer line per row."""
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(row)
+        lines.append(buffer.getvalue())
+    return lines
+
+
+EDGE_SERIES = Series(
+    [
+        Polynomial.zero(),
+        Polynomial.one(),
+        Polynomial({monomial({V: 3, letter(12): 2}): -(2**70), monomial({C: 1}): 2**64 + 1}),
+        Polynomial.zero(),
+    ]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(polynomials([C, V, *LETTERS]), min_size=1, max_size=8).map(Series))
+@example(EDGE_SERIES)
+@example(Series([Polynomial.zero()]))
+def test_series_renderers_match_reference(series):
+    render = catwords.cli._render_series
+    assert "".join(render(series, "json")) == json.dumps(series.to_json_obj(), indent=2) + "\n"
+    assert "".join(render(series, "plain")) == series.format_plain() + "\n"
+    rows = [[n, c.format_plain(ascending=True)] for n, c in enumerate(series.coefficients)]
+    assert list(render(series, "csv")) == csv_lines([["n", "coefficient"], *rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_gfs())
+@example(LetterGF(1, Polynomial.zero(), Polynomial.one()))
+def test_rational_renderers_match_reference(form):
+    render = catwords.cli._render_rational
+    assert "".join(render(form, "json")) == json.dumps(form.to_json_obj(), indent=2) + "\n"
+    rows = [
+        ["numerator", form.numerator.format_plain()],
+        ["denominator", form.denominator.format_plain()],
+    ]
+    assert list(render(form, "csv")) == csv_lines([["part", "polynomial"], *rows])
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_expand_writes_stdout_as_it_renders(monkeypatch, fmt):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["expand", "--letter", "5", "--order", "30", "--format", fmt]) == 0
+    assert len(writes) >= 31  # at least one write per coefficient
+    assert "".join(writes) == run_expand(5, 30, fmt)
 
 
 # -- enumerate -----------------------------------------------------------------
