@@ -8,15 +8,17 @@ nothing: no word that short uses it, so ``expand`` prints the Catalan numbers
 without building the letter's closed form.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
-when the output file or stdout cannot be written.  A reader that closes
-stdout early (``catwords enumerate --length 14 | head``) ends the run
-quietly with the status it would otherwise have had.
+when the output file or stdout cannot be written, stdout closed before the
+run included.  A reader that closes stdout early
+(``catwords enumerate --length 14 | head``) ends the run quietly with the
+status it would otherwise have had.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -38,10 +40,6 @@ __all__ = [
     "build_parser",
     "main",
     "render_verify",
-    "run_cfrac",
-    "run_enumerate",
-    "run_expand",
-    "run_rational",
     "run_verify",
 ]
 
@@ -143,46 +141,10 @@ def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
         raise ValueError(f"unknown format: {fmt!r}")
 
 
-def iter_expand(letter_index: int, order: int, fmt: str = "plain") -> Iterator[str]:
-    """Stream the per-letter occurrence series, one chunk per coefficient."""
-    return _render_series(cfrac.letter_gf_series(letter_index, order), fmt)
-
-
-def run_expand(letter_index: int, order: int, fmt: str = "plain") -> str:
-    """Render the per-letter occurrence series."""
-    return "".join(iter_expand(letter_index, order, fmt))
-
-
-def iter_cfrac(
-    depth: int, tail: str, order: int, generic: bool, fmt: str = "plain"
+def _render_enumerate(
+    length: int, max_letter: int | None, histogram_letter: int | None, fmt: str
 ) -> Iterator[str]:
-    """Stream the expansion of a convergent at the given depth, one chunk per coefficient."""
-    expand = cfrac.gf_full if generic else cfrac.unweighted_series
-    return _render_series(expand(depth, tail, order), fmt)
-
-
-def run_cfrac(depth: int, tail: str, order: int, generic: bool, fmt: str = "plain") -> str:
-    """Render the expansion of a convergent at the given depth."""
-    return "".join(iter_cfrac(depth, tail, order, generic, fmt))
-
-
-def iter_rational(letter_index: int, fmt: str = "plain") -> Iterator[str]:
-    """Stream the closed rational form for one tracked letter."""
-    return _render_rational(cfrac.rational_form(letter_index), fmt)
-
-
-def run_rational(letter_index: int, fmt: str = "plain") -> str:
-    """Render the closed rational form for one tracked letter."""
-    return "".join(iter_rational(letter_index, fmt))
-
-
-def iter_enumerate(
-    length: int,
-    max_letter: int | None = None,
-    histogram_letter: int | None = None,
-    fmt: str = "plain",
-) -> Iterator[str]:
-    """Stream rendered output for the enumerate command, one chunk at a time."""
+    """The rendered words or histogram, one chunk at a time."""
     if histogram_letter is not None:
         hist = oracle.letter_histogram(length, histogram_letter)
         if fmt == "plain":
@@ -220,15 +182,6 @@ def iter_enumerate(
         separator = joiner
     if fmt == "json":
         yield ("]" if separator == first else "\n  ]") + tail
-
-
-def run_enumerate(
-    length: int,
-    max_letter: int | None = None,
-    histogram_letter: int | None = None,
-    fmt: str = "plain",
-) -> str:
-    return "".join(iter_enumerate(length, max_letter, histogram_letter, fmt))
 
 
 @dataclass(frozen=True)
@@ -478,15 +431,22 @@ def _write_chunks(chunks: Iterable[str], path: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.output is None and sys.stdout is None:
+        # Descriptor 1 was closed when Python started: fail before any work.
+        print(f"catwords: error: cannot write stdout: {os.strerror(errno.EBADF)}", file=sys.stderr)
+        return 2
     status = 0
     if args.command == "expand":
-        chunks: Iterable[str] = iter_expand(args.letter, args.order, args.format)
+        chunks: Iterable[str] = _render_series(
+            cfrac.letter_gf_series(args.letter, args.order), args.format
+        )
     elif args.command == "cfrac":
-        chunks = iter_cfrac(args.depth, args.tail, args.order, args.generic, args.format)
+        expand = cfrac.gf_full if args.generic else cfrac.unweighted_series
+        chunks = _render_series(expand(args.depth, args.tail, args.order), args.format)
     elif args.command == "rational":
-        chunks = iter_rational(args.letter, args.format)
+        chunks = _render_rational(cfrac.rational_form(args.letter), args.format)
     elif args.command == "enumerate":
-        chunks = iter_enumerate(args.length, args.max_letter, args.histogram_letter, args.format)
+        chunks = _render_enumerate(args.length, args.max_letter, args.histogram_letter, args.format)
     else:
         report = run_verify(args.max_length, args.letters)
         chunks = [render_verify(report, args.format)]

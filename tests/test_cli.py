@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,17 +17,7 @@ from hypothesis import strategies as st
 
 import catwords
 import catwords.cli
-from catwords.cli import (
-    FORMATS,
-    build_parser,
-    main,
-    render_verify,
-    run_cfrac,
-    run_enumerate,
-    run_expand,
-    run_rational,
-    run_verify,
-)
+from catwords.cli import FORMATS, build_parser, main, render_verify, run_verify
 from catwords.catalan import catalan_numbers, catalan_series
 from catwords.cfrac import (
     TAIL_CATALAN,
@@ -53,6 +44,14 @@ CHILD_ENV = {
 
 def golden_bytes(name):
     return (GOLDEN / name).read_bytes()
+
+
+def stdout_of(command):
+    """What `catwords COMMAND` writes to stdout; the run must exit 0."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(command.split()) == 0, command
+    return buffer.getvalue()
 
 
 def run_main_to_file(tmp_path, argv):
@@ -127,16 +126,18 @@ def test_output_sha256(tmp_path, command):
 
 def renders(family, fmt):
     if family == "expand":
-        return [run_expand(i, order, fmt) for i in range(1, 7) for order in range(41)]
-    if family == "cfrac":
-        return [
-            run_cfrac(depth, tail, order, generic, fmt)
+        commands = [f"expand --letter {i} --order {n}" for i in range(1, 7) for n in range(41)]
+    elif family == "cfrac":
+        commands = [
+            f"cfrac --depth {depth} --tail {tail} --order {order}" + " --generic" * generic
             for depth in range(1, 9)
             for order in range(11)
             for tail in (TAIL_ONE, TAIL_CATALAN)
             for generic in (False, True)
         ]
-    return [run_rational(i, fmt) for i in range(1, 13)]
+    else:
+        commands = [f"rational --letter {i}" for i in range(1, 13)]
+    return [stdout_of(f"{command} --format {fmt}") for command in commands]
 
 
 # sha256 over every render of a family, format by format in the order of
@@ -177,21 +178,21 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 
 def test_expand_order_zero():
-    assert run_expand(3, 0, "plain") == "1\n"
+    assert stdout_of("expand --letter 3 --order 0") == "1\n"
 
 
 def test_expand_letter_one_low_orders():
     # Words of length 2 are 11 (two ones) and 12 (one), so [z^2] is V + V^2.
-    assert run_expand(1, 2, "plain") == "1 + V z + (V+V^2) z^2\n"
+    assert stdout_of("expand --letter 1 --order 2") == "1 + V z + (V+V^2) z^2\n"
 
 
 def test_expand_trailing_term_letter_five():
-    text = run_expand(5, 5, "plain")
+    text = stdout_of("expand --letter 5 --order 5")
     assert text.endswith("(41+V) z^5\n")
 
 
 def test_expand_csv():
-    text = run_expand(5, 5, "csv")
+    text = stdout_of("expand --letter 5 --order 5 --format csv")
     lines = text.splitlines()
     assert lines[0] == "n,coefficient"
     assert lines[1] == "0,1"
@@ -199,7 +200,7 @@ def test_expand_csv():
 
 
 def test_expand_json_roundtrips():
-    text = run_expand(2, 4, "json")
+    text = stdout_of("expand --letter 2 --order 4 --format json")
     obj = json.loads(text)
     assert json.dumps(obj, indent=2) + "\n" == text
     assert obj["order"] == 4
@@ -209,23 +210,23 @@ def test_expand_json_roundtrips():
 
 
 def test_rational_letter_one():
-    assert run_rational(1, "plain") == "numerator: 1\ndenominator: 1-zVC\n"
+    assert stdout_of("rational --letter 1") == "numerator: 1\ndenominator: 1-zVC\n"
 
 
 def test_rational_letter_four_denominator():
-    text = run_rational(4, "plain")
+    text = stdout_of("rational --letter 4")
     assert "denominator: 1-zVC-3z+2z^2VC+z^2\n" in text
 
 
 def test_rational_json_roundtrips():
-    text = run_rational(3, "json")
+    text = stdout_of("rational --letter 3 --format json")
     obj = json.loads(text)
     assert json.dumps(obj, indent=2) + "\n" == text
     assert obj["letter"] == 3
 
 
 def test_rational_csv():
-    lines = run_rational(2, "csv").splitlines()
+    lines = stdout_of("rational --letter 2 --format csv").splitlines()
     assert lines == ["part,polynomial", "numerator,1-zVC", "denominator,1-zVC-z"]
 
 
@@ -233,17 +234,17 @@ def test_rational_csv():
 
 
 def test_cfrac_generic_matches_multivariate_expansion():
-    text = run_cfrac(3, TAIL_CATALAN, 3, generic=True, fmt="plain")
+    text = stdout_of("cfrac --depth 3 --tail catalan --order 3 --generic")
     assert text == "1 + v1 z + (v1v2+v1^2) z^2 + (v1v2v3+v1v2^2+2v1^2v2+v1^3) z^3\n"
 
 
 def test_cfrac_unweighted_tail_one_is_bounded_counting():
-    text = run_cfrac(2, TAIL_ONE, 5, generic=False, fmt="plain")
+    text = stdout_of("cfrac --depth 2 --tail one --order 5")
     assert text == bounded_letter_series(2, 5).format_plain() + "\n"
 
 
 def test_cfrac_unweighted_catalan_tail_is_catalan_series():
-    text = run_cfrac(6, TAIL_CATALAN, 8, generic=False, fmt="plain")
+    text = stdout_of("cfrac --depth 6 --tail catalan --order 8")
     assert text == catalan_series(8).format_plain() + "\n"
     assert unweighted_series(6, TAIL_CATALAN, 8) == catalan_series(8)
 
@@ -254,14 +255,15 @@ def test_cfrac_unweighted_catalan_tail_is_catalan_series():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 24))
 def test_expand_json_parses_back_to_letter_series(letter_index, order):
-    obj = json.loads(run_expand(letter_index, order, "json"))
+    obj = json.loads(stdout_of(f"expand --letter {letter_index} --order {order} --format json"))
     assert Series.from_json_obj(obj) == letter_gf_series(letter_index, order)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.sampled_from([TAIL_ONE, TAIL_CATALAN]), st.integers(0, 8), st.booleans())
 def test_cfrac_json_parses_back_to_series(depth, tail, order, generic):
-    obj = json.loads(run_cfrac(depth, tail, order, generic, "json"))
+    command = f"cfrac --depth {depth} --tail {tail} --order {order} --format json"
+    obj = json.loads(stdout_of(command + " --generic" * generic))
     expand = gf_full if generic else unweighted_series
     assert Series.from_json_obj(obj) == expand(depth, tail, order)
 
@@ -269,7 +271,7 @@ def test_cfrac_json_parses_back_to_series(depth, tail, order, generic):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 20))
 def test_rational_json_parses_back_to_letter_gf(letter_index):
-    obj = json.loads(run_rational(letter_index, "json"))
+    obj = json.loads(stdout_of(f"rational --letter {letter_index} --format json"))
     assert LetterGF.from_json_obj(obj) == rational_form(letter_index)
 
 
@@ -353,28 +355,28 @@ def test_expand_writes_stdout_as_it_renders(monkeypatch, fmt):
     monkeypatch.setattr(sys, "stdout", Recorder())
     assert main(["expand", "--letter", "5", "--order", "30", "--format", fmt]) == 0
     assert len(writes) >= 31  # at least one write per coefficient
-    assert "".join(writes) == run_expand(5, 30, fmt)
+    assert "".join(writes) == stdout_of(f"expand --letter 5 --order 30 --format {fmt}")
 
 
 # -- enumerate -----------------------------------------------------------------
 
 
 def test_enumerate_bounded():
-    assert run_enumerate(3, max_letter=2) == "111\n112\n121\n122\n"
+    assert stdout_of("enumerate --length 3 --max-letter 2") == "111\n112\n121\n122\n"
 
 
 def test_enumerate_length_zero_is_single_empty_line():
-    assert run_enumerate(0) == "\n"
+    assert stdout_of("enumerate --length 0") == "\n"
 
 
 def test_enumerate_histogram_csv():
-    text = run_enumerate(5, histogram_letter=5, fmt="csv")
+    text = stdout_of("enumerate --length 5 --histogram-letter 5 --format csv")
     assert text == "k,count\n0,41\n1,1\n"
 
 
 def test_enumerate_histogram_plain_and_json():
-    assert run_enumerate(5, histogram_letter=5) == "0: 41\n1: 1\n"
-    obj = json.loads(run_enumerate(5, histogram_letter=5, fmt="json"))
+    assert stdout_of("enumerate --length 5 --histogram-letter 5") == "0: 41\n1: 1\n"
+    obj = json.loads(stdout_of("enumerate --length 5 --histogram-letter 5 --format json"))
     assert obj == {"letter": 5, "length": 5, "counts": {"0": 41, "1": 1}}
 
 
@@ -382,10 +384,11 @@ def test_enumerate_histogram_plain_and_json():
 @pytest.mark.parametrize("length", range(10))  # 4,862 words at length 9: two JSON batches
 def test_enumerate_words_csv_and_json(length, max_letter):
     words = [format_word(w) for w in enumerate_words(length, max_letter)]
-    assert run_enumerate(length, max_letter) == "".join(word + "\n" for word in words)
-    csv_text = run_enumerate(length, max_letter, fmt="csv")
+    command = f"enumerate --length {length}" + f" --max-letter {max_letter}" * bool(max_letter)
+    assert stdout_of(command) == "".join(word + "\n" for word in words)
+    csv_text = stdout_of(command + " --format csv")
     assert csv_text == "word\n" + "".join(word + "\n" for word in words)
-    text = run_enumerate(length, max_letter, fmt="json")
+    text = stdout_of(command + " --format json")
     obj = {"length": length, "max_letter": max_letter, "words": words}
     assert text == json.dumps(obj, indent=2) + "\n"
     if (length, max_letter) == (3, None):
@@ -579,6 +582,36 @@ def test_full_stdout_exits_two():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --max-length 3",
+        "expand --letter 5 --order 5",
+        "enumerate --length 3",
+        "enumerate --length 3 --output {out}",
+    ],
+)
+def test_stdout_closed_at_start(tmp_path, command):
+    # Like `catwords verify >&-`: descriptor 1 is closed before Python starts,
+    # so sys.stdout is None in the child.
+    out = tmp_path / "out.txt"
+    argv = command.format(out=out).split()
+    result = subprocess.run(
+        [sys.executable, "-m", "catwords", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+        preexec_fn=lambda: os.close(1),
+    )
+    if "--output" in argv:
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.read_bytes() == golden_bytes("enumerate_length3.txt")
+    else:
+        assert result.returncode == 2
+        assert result.stderr.startswith("catwords: error: cannot write stdout: ")
+        assert result.stderr.count("\n") == 1
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "catwords", "rational", "--letter", "2"],
@@ -599,7 +632,7 @@ def test_failed_output_leaves_previous_file(tmp_path, monkeypatch):
 
     target = tmp_path / "out.txt"
     target.write_text("old\n")
-    monkeypatch.setattr(catwords.cli, "iter_enumerate", broken_stream)
+    monkeypatch.setattr(catwords.cli, "_render_enumerate", broken_stream)
     with pytest.raises(RuntimeError):
         main(["enumerate", "--length", "3", "--output", str(target)])
     assert target.read_text() == "old\n"

@@ -4,7 +4,7 @@ import pathlib
 import shlex
 
 import catwords
-from catwords import catalan, cfrac, oracle, polyring
+from catwords import catalan, cfrac, cli, oracle, polyring
 from catwords.cli import main
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -18,6 +18,21 @@ def test_package_exports_every_module_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(catwords, name) is getattr(module, name)
+
+
+def test_cli_all_names_its_public_surface():
+    namespace: dict = {}
+    exec("from catwords.cli import *", namespace)
+    assert sorted(cli.__all__) == [
+        "Check",
+        "VerifyReport",
+        "build_parser",
+        "main",
+        "render_verify",
+        "run_verify",
+    ]
+    for name in cli.__all__:
+        assert namespace[name] is getattr(cli, name)
 
 
 def test_readme_library_example():
