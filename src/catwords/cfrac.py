@@ -1,23 +1,33 @@
 """Continued-fraction convergents and the generating functions they produce.
 
-The fraction 1/(1 - a1/(1 - a2/(1 - ...))) is truncated at depth n by the
-three-term recurrences
+With partial quotients a_h = z*w_h, the fraction 1/(1 - a1/(1 - a2/(1 - ...)))
+is a sum over Dyck paths (Flajolet 1980): its z^n coefficient sums, over the
+paths of semilength n, the product of w_h over the up-steps, h being the
+height an up-step ends at.  Read left to right, those heights are exactly the
+Catalan words of length n, so with w_h = v_h the expansion counts words by
+length and by letter occurrences.  It is computed one power of z at a time:
+with E_n[h] the weighted sum of the length-n words that end in letter h,
+
+    E_{n+1}[h] = w_h * sum_{g >= h-1} E_n[g],
+
+taken as a running suffix sum, and the z^n coefficient is sum_h E_n[h].  Each
+w_h is a monomial, so multiplying by it adds one constant to every packed key
+and no polynomial product is ever formed; with every weight 1 the states are
+plain ints.  The tail closes the fraction beyond the truncation depth: tail 1
+stops the letters at the depth, and the Catalan tail lets them run on up to
+the order with weight 1 above the depth.
+
+The convergents themselves come from the three-term recurrences
 
     h_i = h_{i-1} - a_i * h_{i-2},    k_i = k_{i-1} - a_i * k_{i-2}
 
-with seeds h_{-1} = 0, h_0 = 1, k_{-1} = 1, k_0 = 1, giving the convergent
-h_n / k_n.  With partial quotients a_i = z * v_i the expansion of h_n / k_n
-counts Catalan words by length (powers of z) and by letter occurrences
-(powers of v_i).  What happens beyond the truncation depth is controlled by
-a tail C multiplied onto the final quotient.  The last step of the
-recurrences then makes the convergent a linear fraction in C:
+with seeds h_{-1} = 0, h_0 = 1, k_{-1} = 1, k_0 = 1, giving h_n / k_n.  A tail
+C multiplied onto the final quotient makes the convergent a linear fraction
+in C:
 
     h = h0 + h1*C,  k = k0 + k1*C,  with h0 = h_{n-1}, h1 = -a_n * h_{n-2}
 
-and k0, k1 alike.  C = 1 forbids letters larger than the depth and gives
-(h0 + h1)/(k0 + k1); the Catalan series for C leaves them unrestricted and
-unweighted, and the two parts are expanded separately and combined with the
-Catalan series before the division.
+and k0, k1 alike.  The closed forms of ``rational_form`` are these fractions.
 
 ## Per-letter series
 
@@ -44,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .catalan import catalan_numbers, catalan_series
 from .polyring import (
@@ -57,8 +67,6 @@ from .polyring import (
     exponents,
     letter,
     monomial,
-    series_div,
-    series_from_poly,
 )
 
 __all__ = [
@@ -70,7 +78,6 @@ __all__ = [
     "TAIL_ONE",
     "bounded_letter_series",
     "convergent",
-    "expand_ratio",
     "generic_quotients",
     "gf_full",
     "letter_gf_series",
@@ -86,6 +93,7 @@ _Z = Polynomial.var(Z)
 _V = Polynomial.var(V)
 _C = Polynomial.var(C)
 _ONE = Polynomial.one()
+_Z_KEY = monomial({Z: 1})
 
 
 class InsufficientQuotients(ValueError):
@@ -188,11 +196,41 @@ def convergent(depth: int, quotients: Sequence[PartialQuotient]) -> Convergent:
     return Convergent(depth, h, k)
 
 
-def expand_ratio(numerator: Polynomial, denominator: Polynomial, order: int) -> Series:
-    """Expand numerator / denominator as a series through the given order."""
-    num = series_from_poly(numerator, order)
-    den = series_from_poly(denominator, order)
-    return series_div(num, den)
+def _weight(a: Polynomial) -> int:
+    """The key of the monomial w in a partial quotient a = z*w."""
+    terms = a.sorted_terms()
+    if len(terms) != 1 or terms[0][1] != 1 or exponents(terms[0][0]).get(Z) != 1:
+        raise ValueError(f"partial quotient must be z times a monomial, got {a}")
+    return terms[0][0] - _Z_KEY
+
+
+def _path_sum(weights: Sequence[int], order: int) -> Iterator[dict[int, int]]:
+    """The terms of the z^0..z^order coefficients when letter h weighs the
+    monomial keyed weights[h - 1] and no letter exceeds len(weights)."""
+    ends: list[dict[int, int]] = [{0: 1}]  # by last letter; the empty word ends in 0
+    for n in range(order + 1):
+        total: dict[int, int] = {}  # the running suffix sum over the last letters
+        grown = []
+        for h in reversed(range(len(ends))):
+            for key, count in ends[h].items():
+                total[key] = total.get(key, 0) + count
+            if n < order and h < len(weights):
+                weight = weights[h]  # letter h + 1 may follow letters h and above
+                grown.append({key + weight: count for key, count in total.items()})
+        yield total
+        ends = [{}, *reversed(grown)]
+
+
+def _path_count(top: int, order: int) -> list[int]:
+    """``_path_sum`` with every weight 1: how many words of each length 0..order
+    have no letter above top."""
+    ends = [1]
+    counts = []
+    for _ in range(order + 1):
+        suffix = list(accumulate(reversed(ends)))[::-1]
+        counts.append(suffix[0])
+        ends = [0, *suffix[:top]]
+    return counts
 
 
 def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) -> Series:
@@ -205,13 +243,12 @@ def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) ->
     # A word of length at most the order never uses a letter above the order,
     # so a deeper convergent has the same coefficients through that order.
     depth = min(depth, max(order, 1))
-    h0, h1, k0, k1 = _tail_parts(depth, make_quotients(depth))
-    if tail_mode == TAIL_ONE:
-        return expand_ratio(h0 + h1, k0 + k1, order)
-    cat = catalan_series(order)
-    num = series_from_poly(h0, order) + series_from_poly(h1, order) * cat
-    den = series_from_poly(k0, order) + series_from_poly(k1, order) * cat
-    return series_div(num, den)
+    weights = [_weight(a) for a in _quotient_values(depth, make_quotients(depth))]
+    if tail_mode == TAIL_CATALAN:
+        weights += [0] * (order - depth)  # the letters above the depth weigh 1
+    if not any(weights):
+        return Series(_path_count(len(weights), order))
+    return Series(map(Polynomial._raw, _path_sum(weights, order)))
 
 
 def gf_full(depth: int, tail_mode: str, order: int) -> Series:

@@ -186,14 +186,16 @@ def _render_enumerate(
 
 @dataclass(frozen=True)
 class Check:
-    """One verify check.  A failed polynomial check keeps only the first
-    monomial, in sorted_terms order, whose coefficients differ: ``at`` names it
-    ("" for the constant term) and expected/actual are its two coefficients."""
+    """One verify check.  expected and actual are the two values compared,
+    printed with str() only by the renderers that show them.  A failed
+    polynomial check keeps only the first monomial, in sorted_terms order,
+    whose coefficients differ: ``at`` names it ("" for the constant term) and
+    expected/actual are its two coefficients."""
 
     description: str
     status: str  # "pass" or "fail"
-    expected: str
-    actual: str
+    expected: object
+    actual: object
     at: str = ""
 
 
@@ -235,14 +237,14 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
 
     def add(description: str, expected, actual) -> None:
         if expected == actual:
-            checks.append(Check(description, "pass", str(expected), str(actual)))
+            checks.append(Check(description, "pass", expected, actual))
             return
         at = ""
         if isinstance(expected, Polynomial):
             key = (expected - actual).sorted_terms()[0][0]
             at = monomial_str(key) if key else ""
             expected, actual = expected.coefficient(key), actual.coefficient(key)
-        checks.append(Check(description, "fail", str(expected), str(actual), at))
+        checks.append(Check(description, "fail", expected, actual, at))
 
     # Truncation never changes lower coefficients, so each series is expanded
     # once, at order max_length, and read at every n.  A word of length n never
@@ -307,8 +309,8 @@ def render_verify(report: VerifyReport, fmt: str = "plain") -> str:
                         "description": c.description,
                         "status": c.status,
                         **({"at": c.at} if c.at else {}),
-                        "expected": c.expected,
-                        "actual": c.actual,
+                        "expected": str(c.expected),
+                        "actual": str(c.actual),
                     }
                     for c in report.checks
                 ],
@@ -324,7 +326,7 @@ def render_verify(report: VerifyReport, fmt: str = "plain") -> str:
         pinpointed = any(c.at for c in report.checks)
         header = ["status", "description", "expected", "actual"] + ["at"] * pinpointed
         rows = [
-            [c.status, c.description, c.expected, c.actual] + [c.at] * pinpointed
+            [c.status, c.description, str(c.expected), str(c.actual)] + [c.at] * pinpointed
             for c in report.checks
         ]
         return _csv_text(header, rows)

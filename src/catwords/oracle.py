@@ -101,8 +101,40 @@ def tally(n: int) -> Counter[tuple[int, ...]]:
 
     A word's key is ``tuple(sorted(word))``: (1, 1, 2) stands for 112 and 121,
     and ``tally(0)`` is ``{(): 1}``.  Every statistic below reads off this tally.
+    The loop is that of ``enumerate_words``, with each word's letter counts kept
+    as one packed int (n.bit_length() bits per letter) that the successor
+    updates only where it changes the word.
     """
-    return Counter(tuple(sorted(word)) for word in enumerate_words(n))
+    if n < 0:
+        raise ValueError(f"length must be >= 0, got {n}")
+    width = n.bit_length()
+    fields = [1 << (width * j) for j in range(n + 2)]  # fields[j] is one letter j
+    field = fields.__getitem__
+    last = n - 1
+    word, ones = [1] * n, [1] * n
+    occurrences = n * fields[1]
+    counts: dict[int, int] = {}
+    get = counts.get
+    while True:
+        counts[occurrences] = get(occurrences, 0) + 1
+        i = last
+        while i > 0 and word[i] > word[i - 1]:
+            i -= 1
+        if i <= 0:
+            break
+        a = word[i]
+        word[i] = a + 1
+        occurrences += fields[a + 1] - fields[a]
+        if i < last:
+            occurrences += (last - i) * fields[1] - sum(map(field, word[i + 1 :]))
+            word[i + 1 :] = ones[i + 1 :]
+    mask = fields[1] - 1
+    return Counter(
+        {
+            tuple(j for j in range(1, n + 1) for _ in range((key >> (width * j)) & mask)): count
+            for key, count in counts.items()
+        }
+    )
 
 
 def multiset_of(counts: Mapping[tuple[int, ...], int]) -> Polynomial:

@@ -12,7 +12,7 @@ instead of wrapping.  ``monomial`` builds a key, ``exponents`` reads it back
 and ``monomial_str`` prints it.  Terms are sorted and serialized in slot
 order; printed monomials use the display order z, V, v1, v2, ..., C.  Every
 operation returns a canonical form (no zero coefficients) in one term order,
-so output is deterministic.  A series sum or product takes two series.
+so output is deterministic.  A series product takes two series.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "C",
-    "NonUnitConstantTerm",
     "Polynomial",
     "RecursiveAssignment",
     "Series",
@@ -37,18 +36,12 @@ __all__ = [
     "letter",
     "monomial",
     "monomial_str",
-    "series_div",
-    "series_from_poly",
     "series_mul",
 ]
 
 
 class RecursiveAssignment(ValueError):
     """A substitution value mentions a variable that is itself being substituted."""
-
-
-class NonUnitConstantTerm(ValueError):
-    """Series division needs the denominator's constant coefficient to be exactly 1."""
 
 
 _NAMED_SLOTS = {"z": 0, "C": 1, "V": 2}
@@ -422,7 +415,7 @@ class Series:
     """A power series in z truncated at a fixed order.
 
     ``coefficients[n]`` is the coefficient of z^n and is a polynomial free of
-    z.  A sum or product takes two series and truncates to the smaller order.
+    z.  A product takes two series and truncates to the smaller order.
     """
 
     __slots__ = ("_coeffs",)
@@ -454,12 +447,6 @@ class Series:
         return self._coeffs[n]
 
     # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return Series([self._coeffs[n] + other._coeffs[n] for n in range(order + 1)])
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -515,19 +502,6 @@ class Series:
         return cls(coeffs)
 
 
-def series_from_poly(p: Polynomial, order: int) -> Series:
-    """Split p by powers of z into slots 0..order; higher powers are dropped."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    buckets: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for key, coeff in p._terms.items():
-        zdeg = key & _MASK
-        if zdeg <= order:
-            # Distinct monomials of p differ off slot 0 when their z-degrees agree.
-            buckets[zdeg][key - zdeg] = coeff
-    return Series([Polynomial._raw(b) for b in buckets])
-
-
 def series_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to the smaller operand order."""
     order = min(a.order, b.order)
@@ -539,27 +513,3 @@ def series_mul(a: Series, b: Series) -> Series:
             _accumulate(acc, (ac[j] * bc[n - j])._terms.items())
         out.append(Polynomial._raw(acc))
     return Series(out)
-
-
-def series_div(num: Series, den: Series) -> Series:
-    """Quotient of two series; den must have constant coefficient 1.
-
-    Long division q_n = num_n - sum_{j=1..n} den_j q_{n-j} gives the same
-    exact result as multiplying by the inverse of den, but the intermediate
-    polynomials stay as small as the answer, which matters when the bare
-    inverse would be far denser than the quotient.
-    """
-    if not den.coefficient(0).is_one():
-        raise NonUnitConstantTerm("series division requires denominator constant 1")
-    order = min(num.order, den.order)
-    nc, dc = num.coefficients, den.coefficients
-    quot: list[Polynomial] = [nc[0]]
-    for n in range(1, order + 1):
-        acc: dict[int, int] = dict(nc[n]._terms)
-        for j in range(1, n + 1):
-            dj = dc[j]
-            if dj.is_zero():
-                continue
-            _accumulate(acc, (dj * quot[n - j])._terms.items(), -1)
-        quot.append(Polynomial._raw(acc))
-    return Series(quot)

@@ -14,7 +14,6 @@ from catwords.cfrac import (
     PartialQuotient,
     bounded_letter_series,
     convergent,
-    expand_ratio,
     generic_quotients,
     gf_full,
     letter_gf_series,
@@ -23,7 +22,7 @@ from catwords.cfrac import (
     unweighted_series,
 )
 from catwords.oracle import letter_histogram, monomial_multiset
-from catwords.polyring import C, Polynomial, Series, V, Z, exponents, letter
+from catwords.polyring import C, Polynomial, Series, V, Z, exponents, letter, monomial
 
 ONE = Polynomial.one()
 z = Polynomial.var(Z)
@@ -38,6 +37,41 @@ def vp(i):
 def catalan_polynomial(order):
     """The Catalan series truncated at the order, as a polynomial in z."""
     return sum((c * z**n for n, c in enumerate(catalan_numbers(order))), Polynomial.zero())
+
+
+# -- the reference route --------------------------------------------------------
+# Series division, which the package used to expand convergents before the
+# Dyck-path sum, is kept here as the reference for it: substitute a value for
+# C, split h and k by powers of z, and long-divide the two series.
+
+
+def series_from_poly(p, order):
+    """Split p by powers of z into the coefficients of a series through the order."""
+    buckets = [{} for _ in range(order + 1)]
+    for key, coeff in p.sorted_terms():
+        powers = exponents(key)
+        zdeg = powers.pop(Z, 0)
+        if zdeg <= order:
+            buckets[zdeg][monomial(powers)] = coeff
+    return Series(map(Polynomial, buckets))
+
+
+def series_div(num, den):
+    """num / den by long division, q_n = num_n - sum_{j=1..n} den_j q_{n-j}."""
+    if not den.coefficient(0).is_one():
+        raise ValueError("series division requires denominator constant 1")
+    quot = []
+    for n in range(min(num.order, den.order) + 1):
+        acc = num.coefficient(n)
+        for j in range(1, n + 1):
+            acc = acc - den.coefficient(j) * quot[n - j]
+        quot.append(acc)
+    return Series(quot)
+
+
+def expand_ratio(numerator, denominator, order):
+    """Expand numerator / denominator as a series through the given order."""
+    return series_div(series_from_poly(numerator, order), series_from_poly(denominator, order))
 
 
 def expand_by_substitution(h, k, tail_value, order):
@@ -150,17 +184,22 @@ def test_gf_full_matches_enumerated_multiset(n):
     assert series.coefficient(n) == monomial_multiset(n, n)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 12), st.sampled_from([TAIL_ONE, TAIL_CATALAN]))
+@example(10, 12, TAIL_CATALAN)
+@example(10, 12, TAIL_ONE)
 @example(8, 12, TAIL_CATALAN)
 @example(8, 12, TAIL_ONE)
+@example(1, 12, TAIL_CATALAN)
+@example(1, 12, TAIL_ONE)
 @example(1, 0, TAIL_CATALAN)
 @example(12, 3, TAIL_CATALAN)
 @example(12, 3, TAIL_ONE)
 @example(5, 0, TAIL_CATALAN)
 @example(5, 0, TAIL_ONE)
 def test_tail_parts_match_substitution_route(depth, order, tail_mode):
-    # The reference multiplies C into the last quotient and runs the plain recurrences.
+    # The path sum against the reference route, which multiplies C into the
+    # last quotient, runs the plain recurrences and divides the two series.
     tail_value = ONE if tail_mode == TAIL_ONE else catalan_polynomial(order)
     for expand, make_quotients in (
         (gf_full, generic_quotients),
@@ -175,25 +214,32 @@ def test_tail_parts_match_substitution_route(depth, order, tail_mode):
 
 def test_expansion_never_runs_deeper_than_the_order(monkeypatch):
     # A word of length at most the order never uses a letter above the order,
-    # so no expansion needs more than max(order, 1) quotients.
+    # so every expansion asks for exactly max(order, 1) quotients.
     import catwords.cfrac
 
-    limit = {"quotients": 3}
-
-    def capped(make_quotients):
-        def make(n):
-            if n > limit["quotients"]:
-                raise AssertionError(f"asked for {n} quotients, limit {limit['quotients']}")
-            return make_quotients(n)
-
-        return make
-
+    asked = []
     for name in ("generic_quotients", "uniform_quotients"):
-        monkeypatch.setattr(catwords.cfrac, name, capped(getattr(catwords.cfrac, name)))
-    assert gf_full(40, TAIL_CATALAN, 3) == gf_full(3, TAIL_CATALAN, 3)
-    assert gf_full(40, TAIL_ONE, 3) == gf_full(3, TAIL_ONE, 3)
-    limit["quotients"] = 5
-    assert bounded_letter_series(10**6, 5) == bounded_letter_series(5, 5)
+        make = getattr(catwords.cfrac, name)
+        monkeypatch.setattr(catwords.cfrac, name, lambda n, make=make: asked.append(n) or make(n))
+    for expand in (gf_full, unweighted_series):
+        for tail_mode in (TAIL_ONE, TAIL_CATALAN):
+            for depth, order in ((40, 3), (7, 0), (10**6, 5)):
+                asked.clear()
+                deep = expand(depth, tail_mode, order)
+                assert asked == [max(order, 1)]
+                assert deep == expand(max(order, 1), tail_mode, order)
+
+
+@pytest.mark.parametrize("value", [z + z * vp(1), 2 * z * vp(1), vp(1), z**2, Polynomial.zero()])
+def test_expansion_needs_monomial_quotients(value):
+    # The path sum reads each weight off a quotient z*w with w a monomial.
+    from catwords.cfrac import _expand_with_tail
+
+    def make(n):
+        return [PartialQuotient(i, value) for i in range(1, n + 1)]
+
+    with pytest.raises(ValueError, match="partial quotient"):
+        _expand_with_tail(make, 3, TAIL_CATALAN, 3)
 
 
 def test_letter_above_the_order_builds_no_closed_form(monkeypatch, capsys):

@@ -93,6 +93,9 @@ OUTPUT_SHA256 = {
     "cfrac --depth 12 --order 12 --generic --format json": (
         "23c964c794579e6e0c208a7099818762073f15c55cd8d2a0055a257c3b4922c4"
     ),
+    "cfrac --depth 16 --order 16 --generic --format json": (
+        "5ab694b29a54bfc2b3fac9761e0a1a4fc0a3cfb325d6339499f5fe5a8814cb1b"
+    ),
     "cfrac --depth 6 --order 8 --generic": (
         "331040b2e0b10dfedd1675307e122eca4b5ca01a5b044f4449ad3c81c62d6eed"
     ),

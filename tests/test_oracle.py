@@ -173,6 +173,15 @@ def test_tally_keys_are_sorted_letters():
         tally(-1)
 
 
+@pytest.mark.parametrize("n", range(14))
+def test_tally_matches_textbook_counter(n):
+    # The packed-key loop against the textbook tally.  At n = 1, 3 and 7 the
+    # word 1^n fills letter 1's field of n.bit_length() bits to its top.
+    expected = Counter(tuple(sorted(word)) for word in enumerate_words(n))
+    counts = tally(n)
+    assert type(counts) is Counter and counts == expected
+
+
 # Reference loops: each statistic from its own enumeration pass, as the oracle
 # computed them before every statistic was read off one tally.
 
