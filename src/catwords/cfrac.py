@@ -12,10 +12,9 @@ with E_n[h] the weighted sum of the length-n words that end in letter h,
 
 taken as a running suffix sum, and the z^n coefficient is sum_h E_n[h].  Each
 w_h is a monomial, so multiplying by it adds one constant to every packed key
-and no polynomial product is ever formed; with every weight 1 the states are
-plain ints.  The tail closes the fraction beyond the truncation depth: tail 1
-stops the letters at the depth, and the Catalan tail lets them run on up to
-the order with weight 1 above the depth.
+and no polynomial product is ever formed.  The tail closes the fraction
+beyond the truncation depth: tail 1 stops the letters at the depth, and the
+Catalan tail lets them run on up to the order with weight 1 above the depth.
 
 The convergents themselves come from the three-term recurrences
 
@@ -221,18 +220,6 @@ def _path_sum(weights: Sequence[int], order: int) -> Iterator[dict[int, int]]:
         ends = [{}, *reversed(grown)]
 
 
-def _path_count(top: int, order: int) -> list[int]:
-    """``_path_sum`` with every weight 1: how many words of each length 0..order
-    have no letter above top."""
-    ends = [1]
-    counts = []
-    for _ in range(order + 1):
-        suffix = list(accumulate(reversed(ends)))[::-1]
-        counts.append(suffix[0])
-        ends = [0, *suffix[:top]]
-    return counts
-
-
 def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) -> Series:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -246,8 +233,6 @@ def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) ->
     weights = [_weight(a) for a in _quotient_values(depth, make_quotients(depth))]
     if tail_mode == TAIL_CATALAN:
         weights += [0] * (order - depth)  # the letters above the depth weigh 1
-    if not any(weights):
-        return Series(_path_count(len(weights), order))
     return Series(map(Polynomial._raw, _path_sum(weights, order)))
 
 

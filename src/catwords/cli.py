@@ -194,8 +194,8 @@ class Check:
 
     description: str
     status: str  # "pass" or "fail"
-    expected: object
-    actual: object
+    expected: Polynomial | int
+    actual: Polynomial | int
     at: str = ""
 
 

@@ -23,9 +23,9 @@ from catwords.polyring import (
     series_mul,
 )
 
-# Series division is no longer part of the package; these tests check the
-# reference route that the path-sum property test in test_cfrac compares with.
-from test_cfrac import series_div, series_from_poly
+# Series division is no longer part of the package; the tests of it below check
+# the reference route that the path-sum property test in test_cfrac compares with.
+from series_reference import series_div, series_from_poly
 
 ONE = Polynomial.one()
 ZERO = Polynomial.zero()
