@@ -20,30 +20,31 @@ The convergents themselves come from the three-term recurrences
 
     h_i = h_{i-1} - a_i * h_{i-2},    k_i = k_{i-1} - a_i * k_{i-2}
 
-with seeds h_{-1} = 0, h_0 = 1, k_{-1} = 1, k_0 = 1, giving h_n / k_n.  A tail
-C multiplied onto the final quotient makes the convergent a linear fraction
-in C:
-
-    h = h0 + h1*C,  k = k0 + k1*C,  with h0 = h_{n-1}, h1 = -a_n * h_{n-2}
-
-and k0, k1 alike.  The closed forms of ``rational_form`` are these fractions.
+with seeds h_{-1} = 0, h_0 = 1, k_{-1} = 1, k_0 = 1, giving h_n / k_n.  When
+every quotient is z the two recurrences differ only by a shift: h_j = k_{j-1},
+with k_{-2} = h_{-1} = 0.
 
 ## Per-letter series
 
-The closed form of one tracked letter is N/D with N = n0 + n1*C and
-D = d0 + d1*C, both linear in C, where n0, n1, d0, d1 lie in Z[z, V].  The
-Catalan series C satisfies z*C^2 - C + 1 = 0, so C and its conjugate C'
-satisfy C + C' = C*C' = 1/z.  Multiplying N and D by D' = d0 + d1*C' gives
-N/D = (A + B*C)/E with
+The closed form of letter i takes the quotients z below depth i and z*V*C at
+depth i, where the Catalan series C stands for the whole fraction beneath.
+One run of the recurrences through depth i - 1 gives P, Q, R = k_{i-1},
+k_{i-2}, k_{i-3}, and the convergent is
 
-    A = (z*n0*d0 + n0*d1 + n1*d1) / z
-    B = n1*d0 - n0*d1
-    E = (z*d0^2 + d0*d1 + d1^2) / z
+    N/D = (Q - z*V*C*R) / (P - z*V*C*Q),
 
-Both z-divisions are exact because d1 carries a factor z.  A, B and E have
-z-degree about equal to the letter, so the series is A plus the short
-convolution of B with the Catalan numbers, followed by a long division by E
-that takes deg_z(E) terms per step.  E(0) = 1 - V is not a unit, but every
+the closed form of ``rational_form``.  C satisfies z*C^2 - C + 1 = 0, so C
+and its conjugate C' satisfy C + C' = C*C' = 1/z.  Multiplying N and D by
+D' = P - z*V*C'*Q gives N/D = (A + B*C)/E with
+
+    A = Q*P - V*Q^2 + z*V^2*R*Q
+    B = z*V*(Q^2 - R*P) = V*z^i
+    E = P^2 - V*P*Q + z*V^2*Q^2
+
+where B is a single monomial by the determinant identity Q^2 - R*P = z^(i-1).
+A and E have z-degree about equal to the letter, so the series is A plus V
+times the Catalan numbers shifted by i, followed by a long division by E that
+takes deg_z(E) terms per step.  E(0) = 1 - V is not a unit, but every
 coefficient of the quotient lies in Z[V], so each step divides exactly by
 1 - V.
 """
@@ -53,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .catalan import catalan_numbers, catalan_series
 from .polyring import (
@@ -81,7 +82,6 @@ __all__ = [
     "gf_full",
     "letter_gf_series",
     "rational_form",
-    "uniform_quotients",
     "unweighted_series",
 ]
 
@@ -92,7 +92,6 @@ _Z = Polynomial.var(Z)
 _V = Polynomial.var(V)
 _C = Polynomial.var(C)
 _ONE = Polynomial.one()
-_Z_KEY = monomial({Z: 1})
 
 
 class InsufficientQuotients(ValueError):
@@ -159,19 +158,6 @@ def generic_quotients(n: int) -> list[PartialQuotient]:
     return [PartialQuotient(i, _Z * Polynomial.var(letter(i))) for i in range(1, n + 1)]
 
 
-def uniform_quotients(n: int) -> list[PartialQuotient]:
-    """Partial quotients z, ..., z: letters carry no weight."""
-    return [PartialQuotient(i, _Z) for i in range(1, n + 1)]
-
-
-def _quotient_values(depth: int, quotients: Sequence[PartialQuotient]) -> list[Polynomial]:
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if len(quotients) < depth:
-        raise InsufficientQuotients(f"need {depth} quotients, got {len(quotients)}")
-    return [q.value for q in quotients[:depth]]
-
-
 def _run_recurrences(values: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """The last two rows of both recurrences: (h_{n-1}, h_n, k_{n-1}, k_n)."""
     h_prev, h_cur = Polynomial.zero(), _ONE
@@ -182,25 +168,14 @@ def _run_recurrences(values: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     return h_prev, h_cur, k_prev, k_cur
 
 
-def _tail_parts(depth: int, quotients: Sequence[PartialQuotient]) -> tuple[Polynomial, ...]:
-    """(h0, h1, k0, k1) with h = h0 + h1*C and k = k0 + k1*C at a tailed depth >= 1."""
-    *values, last = _quotient_values(depth, quotients)
-    h_before, h0, k_before, k0 = _run_recurrences(values)
-    return h0, -last * h_before, k0, -last * k_before
-
-
 def convergent(depth: int, quotients: Sequence[PartialQuotient]) -> Convergent:
     """The plain convergent h_depth / k_depth."""
-    _, h, _, k = _run_recurrences(_quotient_values(depth, quotients))
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if len(quotients) < depth:
+        raise InsufficientQuotients(f"need {depth} quotients, got {len(quotients)}")
+    _, h, _, k = _run_recurrences([q.value for q in quotients[:depth]])
     return Convergent(depth, h, k)
-
-
-def _weight(a: Polynomial) -> int:
-    """The key of the monomial w in a partial quotient a = z*w."""
-    terms = a.sorted_terms()
-    if len(terms) != 1 or terms[0][1] != 1 or exponents(terms[0][0]).get(Z) != 1:
-        raise ValueError(f"partial quotient must be z times a monomial, got {a}")
-    return terms[0][0] - _Z_KEY
 
 
 def _path_sum(weights: Sequence[int], order: int) -> Iterator[dict[int, int]]:
@@ -220,7 +195,11 @@ def _path_sum(weights: Sequence[int], order: int) -> Iterator[dict[int, int]]:
         ends = [{}, *reversed(grown)]
 
 
-def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) -> Series:
+def _expand_with_tail(
+    weight: Callable[[int], int], depth: int, tail_mode: str, order: int
+) -> Series:
+    """The path sum through the order when letter h <= depth weighs the
+    monomial keyed weight(h), under the given tail."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if order < 0:
@@ -230,7 +209,7 @@ def _expand_with_tail(make_quotients, depth: int, tail_mode: str, order: int) ->
     # A word of length at most the order never uses a letter above the order,
     # so a deeper convergent has the same coefficients through that order.
     depth = min(depth, max(order, 1))
-    weights = [_weight(a) for a in _quotient_values(depth, make_quotients(depth))]
+    weights = [weight(h) for h in range(1, depth + 1)]
     if tail_mode == TAIL_CATALAN:
         weights += [0] * (order - depth)  # the letters above the depth weigh 1
     return Series(map(Polynomial._raw, _path_sum(weights, order)))
@@ -243,12 +222,12 @@ def gf_full(depth: int, tail_mode: str, order: int) -> Series:
     restricted to <= depth when tail_mode is "one"), of prod_j v_j^(number of
     occurrences of letter j).
     """
-    return _expand_with_tail(generic_quotients, depth, tail_mode, order)
+    return _expand_with_tail(lambda h: monomial({letter(h): 1}), depth, tail_mode, order)
 
 
 def unweighted_series(depth: int, tail_mode: str, order: int) -> Series:
     """Expansion of the depth-n convergent with every letter weight set to 1."""
-    return _expand_with_tail(uniform_quotients, depth, tail_mode, order)
+    return _expand_with_tail(lambda h: 0, depth, tail_mode, order)
 
 
 def rational_form(letter_index: int) -> LetterGF:
@@ -257,31 +236,29 @@ def rational_form(letter_index: int) -> LetterGF:
     The convergent depth equals the letter: quotients below it are z, the
     final quotient is z*V, and the tail symbol C absorbs everything deeper.
     """
-    n0, n1, d0, d1 = _letter_parts(letter_index)
-    return LetterGF(letter_index, n0 + n1 * _C, d0 + d1 * _C)
+    p, q, r = _letter_parts(letter_index)
+    zvc = _Z * _V * _C
+    return LetterGF(letter_index, q - zvc * r, p - zvc * q)
 
 
 def _letter_parts(letter_index: int) -> tuple[Polynomial, ...]:
-    """The C-free and C-linear parts (n0, n1, d0, d1) of one letter's closed form."""
+    """P, Q, R = k_{i-1}, k_{i-2}, k_{i-3} of the all-z recurrence, for letter i."""
     if letter_index < 1:
         raise ValueError(f"letter must be >= 1, got {letter_index}")
-    quotients = uniform_quotients(letter_index - 1)
-    quotients.append(PartialQuotient(letter_index, _Z * _V))
-    return _tail_parts(letter_index, quotients)
+    r, q, _, p = _run_recurrences([_Z] * (letter_index - 1))  # h_j = k_{j-1}
+    return p, q, r
 
 
 # The per-letter series keeps its V-polynomials as dense lists of ints indexed
 # by the power of V, with no trailing zeros (the zero polynomial is []).
 
 
-def _v_rows(p: Polynomial, z_shift: int = 0) -> list[list[int]]:
-    """Dense V-coefficients of p / z^z_shift, one row per power of z; p is in Z[z, V]."""
+def _v_rows(p: Polynomial) -> list[list[int]]:
+    """Dense V-coefficients of p, one row per power of z; p is in Z[z, V]."""
     rows: list[list[int]] = []
     for key, coeff in p.sorted_terms():
         powers = exponents(key)
-        zdeg = powers.get(Z, 0) - z_shift
-        if zdeg < 0:
-            raise ArithmeticError("division by z is not exact")
+        zdeg = powers.get(Z, 0)
         vdeg = powers.get(V, 0)
         rows.extend([] for _ in range(zdeg + 1 - len(rows)))
         rows[zdeg].extend([0] * (vdeg + 1 - len(rows[zdeg])))
@@ -326,10 +303,10 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
         return catalan_series(order)
-    n0, n1, d0, d1 = _letter_parts(letter_index)
-    a = _v_rows(_Z * n0 * d0 + (n0 + n1) * d1, z_shift=1)
-    b = _v_rows(n1 * d0 - n0 * d1)
-    e = _v_rows(_Z * d0 * d0 + (d0 + d1) * d1, z_shift=1)
+    p, q, r = _letter_parts(letter_index)
+    zvv = _Z * _V * _V
+    a = _v_rows(q * p - _V * q * q + zvv * r * q)
+    e = _v_rows(p * p - _V * p * q + zvv * q * q)
     if not e or e[0] != [1, -1]:
         raise ArithmeticError("expected E(0) = 1 - V")
 
@@ -339,8 +316,8 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     coeffs: list[Polynomial] = []
     for n in range(order + 1):
         acc = list(a[n]) if n < len(a) else []
-        for j in range(min(n + 1, len(b))):
-            _add_product(acc, b[j], [catalan[n - j]])
+        if n >= letter_index:
+            _add_product(acc, [0, 1], [catalan[n - letter_index]])  # B*C, B = V*z^i
         for j in range(1, min(n + 1, len(e))):
             _add_product(acc, e[j], recent[-j], -1)
         row = _divide_one_minus_v(acc)

@@ -15,10 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .polyring import Polynomial, V, letter, monomial
 
-CatalanWord = tuple[int, ...]
-
 __all__ = [
-    "CatalanWord",
     "Histogram",
     "UnderTracked",
     "bounded_count",

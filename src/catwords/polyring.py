@@ -386,10 +386,10 @@ _ZERO = Polynomial._raw({})
 _ONE = Polynomial._raw({0: 1})
 
 
-def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]], sign: int = 1) -> None:
-    """acc += sign * terms, in place, dropping every coefficient that cancels to zero."""
+def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> None:
+    """acc += terms, in place, dropping every coefficient that cancels to zero."""
     for key, coeff in terms:
-        total = acc.get(key, 0) + sign * coeff
+        total = acc.get(key, 0) + coeff
         if total:
             acc[key] = total
         else:
@@ -447,11 +447,6 @@ class Series:
         return self._coeffs[n]
 
     # -- arithmetic -------------------------------------------------------
-
-    def __mul__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        return series_mul(self, other)
 
     def specialize(self, assignment: Mapping[Variable, PolynomialLike]) -> "Series":
         """Apply a substitution to every coefficient (must stay z-free)."""

@@ -18,7 +18,6 @@ from catwords.cfrac import (
     gf_full,
     letter_gf_series,
     rational_form,
-    uniform_quotients,
     unweighted_series,
 )
 from catwords.oracle import letter_histogram, monomial_multiset
@@ -169,11 +168,10 @@ def test_tail_parts_match_substitution_route(depth, order, tail_mode):
     # The path sum against the reference route, which multiplies C into the
     # last quotient, runs the plain recurrences and divides the two series.
     tail_value = ONE if tail_mode == TAIL_ONE else catalan_polynomial(order)
-    for expand, make_quotients in (
-        (gf_full, generic_quotients),
-        (unweighted_series, uniform_quotients),
+    for expand, quotients in (
+        (gf_full, generic_quotients(depth)),
+        (unweighted_series, [PartialQuotient(i, z) for i in range(1, depth + 1)]),
     ):
-        quotients = make_quotients(depth)
         quotients[-1] = PartialQuotient(depth, quotients[-1].value * Cp)
         conv = convergent(depth, quotients)
         reference = expand_by_substitution(conv.h, conv.k, tail_value, order)
@@ -182,47 +180,39 @@ def test_tail_parts_match_substitution_route(depth, order, tail_mode):
 
 def test_expansion_never_runs_deeper_than_the_order(monkeypatch):
     # A word of length at most the order never uses a letter above the order,
-    # so every expansion asks for exactly max(order, 1) quotients.
+    # so every expansion weighs exactly max(order, 1) letters.
     import catwords.cfrac
 
-    asked = []
-    for name in ("generic_quotients", "uniform_quotients"):
-        make = getattr(catwords.cfrac, name)
-        monkeypatch.setattr(catwords.cfrac, name, lambda n, make=make: asked.append(n) or make(n))
+    path_sum = catwords.cfrac._path_sum
+    lengths = []
+
+    def recording(weights, order):
+        lengths.append(len(weights))
+        return path_sum(weights, order)
+
+    monkeypatch.setattr(catwords.cfrac, "_path_sum", recording)
     for expand in (gf_full, unweighted_series):
         for tail_mode in (TAIL_ONE, TAIL_CATALAN):
             for depth, order in ((40, 3), (7, 0), (10**6, 5)):
-                asked.clear()
+                lengths.clear()
                 deep = expand(depth, tail_mode, order)
-                assert asked == [max(order, 1)]
+                assert lengths == [max(order, 1)]
                 assert deep == expand(max(order, 1), tail_mode, order)
 
 
-@pytest.mark.parametrize("value", [z + z * vp(1), 2 * z * vp(1), vp(1), z**2, Polynomial.zero()])
-def test_expansion_needs_monomial_quotients(value):
-    # The path sum reads each weight off a quotient z*w with w a monomial.
-    from catwords.cfrac import _expand_with_tail
-
-    def make(n):
-        return [PartialQuotient(i, value) for i in range(1, n + 1)]
-
-    with pytest.raises(ValueError, match="partial quotient"):
-        _expand_with_tail(make, 3, TAIL_CATALAN, 3)
-
-
 def test_letter_above_the_order_builds_no_closed_form(monkeypatch, capsys):
-    # Every coefficient is the constant C_n, so no quotient is asked for.
+    # Every coefficient is the constant C_n, so the recurrences never run deep.
     import catwords.cfrac
     from catwords.cli import main
 
-    uniform = catwords.cfrac.uniform_quotients
+    run_recurrences = catwords.cfrac._run_recurrences
 
-    def capped(n):
-        if n > 10:
-            raise AssertionError(f"asked for {n} quotients, limit 10")
-        return uniform(n)
+    def capped(values):
+        if len(values) > 10:
+            raise AssertionError(f"ran the recurrences {len(values)} deep, limit 10")
+        return run_recurrences(values)
 
-    monkeypatch.setattr(catwords.cfrac, "uniform_quotients", capped)
+    monkeypatch.setattr(catwords.cfrac, "_run_recurrences", capped)
     assert letter_gf_series(10**6, 5) == catalan_series(5)
     assert main(["verify", "--max-length", "3", "--letters", "1", "1000000"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -310,6 +300,8 @@ def letter_series_by_dense_tail(i, order):
 @example(7, 3)
 @example(12, 11)
 @example(1, 48)
+@example(20, 40)
+@example(24, 48)
 def test_letter_series_matches_dense_tail_route(i, order):
     assert letter_gf_series(i, order) == letter_series_by_dense_tail(i, order)
 
@@ -356,6 +348,17 @@ def test_rational_form_letter_ten_denominator():
         - z**5
     )
     assert rational_form(10).denominator == den
+
+
+def test_rational_form_is_the_tailed_convergent():
+    # The generic recurrence on quotients z, ..., z, z*V*C, not the P, Q, R
+    # shortcut that rational_form takes.
+    for i in range(1, 31):
+        quotients = [PartialQuotient(j, z) for j in range(1, i)]
+        quotients.append(PartialQuotient(i, z * Vp * Cp))
+        conv = convergent(i, quotients)
+        form = rational_form(i)
+        assert (form.numerator, form.denominator) == (conv.h, conv.k)
 
 
 @pytest.mark.parametrize("i", range(1, 10))
@@ -411,4 +414,3 @@ def test_unweighted_catalan_tail_reproduces_catalan_series():
 def test_expand_ratio_uses_given_order():
     series = expand_ratio(ONE, ONE - z, 5)
     assert series == Series([1] * 6)
-    assert uniform_quotients(2)[1].value == z
