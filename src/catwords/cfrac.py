@@ -266,16 +266,15 @@ def _v_rows(p: Polynomial) -> list[list[int]]:
     return rows
 
 
-def _add_product(acc: list[int], p: list[int], q: list[int], sign: int = 1) -> None:
-    """acc += sign * p * q, in place (acc may be left with trailing zeros)."""
+def _subtract_product(acc: list[int], p: list[int], q: list[int]) -> None:
+    """acc -= p * q, in place (acc may be left with trailing zeros)."""
     if not p or not q:
         return
     acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
     for i, a in enumerate(p):
         if a:
-            a *= sign
             for j, b in enumerate(q):
-                acc[i + j] += a * b
+                acc[i + j] -= a * b
 
 
 def _divide_one_minus_v(r: list[int]) -> list[int]:
@@ -297,8 +296,6 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if letter_index < 1:
-        raise ValueError(f"letter must be >= 1, got {letter_index}")
     if letter_index > order:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
@@ -316,10 +313,11 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     coeffs: list[Polynomial] = []
     for n in range(order + 1):
         acc = list(a[n]) if n < len(a) else []
-        if n >= letter_index:
-            _add_product(acc, [0, 1], [catalan[n - letter_index]])  # B*C, B = V*z^i
+        if n >= letter_index:  # B*C with B = V*z^i adds C_{n-i} to the V coefficient
+            acc.extend([0] * (2 - len(acc)))
+            acc[1] += catalan[n - letter_index]
         for j in range(1, min(n + 1, len(e))):
-            _add_product(acc, e[j], recent[-j], -1)
+            _subtract_product(acc, e[j], recent[-j])
         row = _divide_one_minus_v(acc)
         recent.append(row)
         while len(monomials) < len(row):

@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
@@ -46,19 +47,18 @@ __all__ = [
 
 def _at_least(minimum: int, text: str) -> int:
     # ASCII decimal digits only, as in the JSON readers: int() would also take
-    # "５", "1_0" and " 3 ".
-    value = _json_int(text, text=True)
+    # "５", "1_0" and " 3 ".  Argparse names the type function on a ValueError.
+    try:
+        value = _json_int(text, text=True)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
     return value
 
 
-def _positive(text: str) -> int:
-    return _at_least(1, text)
-
-
-def _nonnegative(text: str) -> int:
-    return _at_least(0, text)
+_positive = partial(_at_least, 1)
+_nonnegative = partial(_at_least, 0)
 
 
 def _json_text(obj) -> str:
@@ -112,13 +112,11 @@ def _render_series(series: Series, fmt: str) -> Iterator[str]:
             yield separator + _json_terms(coeff.to_json_obj(), 2)
             separator = ",\n    "
         yield "\n  ]\n}\n"
-    elif fmt == "csv":
+    else:
         rows = (
             [n, coeff.format_plain(ascending=True)] for n, coeff in enumerate(series.coefficients)
         )
         yield from _csv_rows(["n", "coefficient"], rows)
-    else:
-        raise ValueError(f"unknown format: {fmt!r}")
 
 
 def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
@@ -131,14 +129,12 @@ def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
         yield _json_terms(form.numerator.to_json_obj(), 1)
         yield ',\n  "denominator": '
         yield _json_terms(form.denominator.to_json_obj(), 1) + "\n}\n"
-    elif fmt == "csv":
+    else:
         rows = (
             ["numerator", form.numerator.format_plain()],
             ["denominator", form.denominator.format_plain()],
         )
         yield from _csv_rows(["part", "polynomial"], rows)
-    else:
-        raise ValueError(f"unknown format: {fmt!r}")
 
 
 def _render_enumerate(
@@ -148,19 +144,17 @@ def _render_enumerate(
     if histogram_letter is not None:
         hist = oracle.letter_histogram(length, histogram_letter)
         if fmt == "plain":
-            yield "".join(f"{k}: {hist.counts[k]}\n" for k in sorted(hist.counts))
+            yield "".join(f"{k}: {count}\n" for k, count in hist.counts.items())
         elif fmt == "json":
             yield _json_text(
                 {
                     "letter": hist.letter,
                     "length": hist.length,
-                    "counts": {str(k): hist.counts[k] for k in sorted(hist.counts)},
+                    "counts": {str(k): count for k, count in hist.counts.items()},
                 }
             )
-        elif fmt == "csv":
-            yield _csv_text(["k", "count"], sorted(hist.counts.items()))
         else:
-            raise ValueError(f"unknown format: {fmt!r}")
+            yield _csv_text(["k", "count"], hist.counts.items())
         return
     words = map(oracle.format_word, oracle.enumerate_words(length, max_letter))
     if fmt == "json":
@@ -169,12 +163,10 @@ def _render_enumerate(
         head, tail = _json_text(document).split("[]")
         yield head + "["
         words, first, joiner = map(encode_basestring_ascii, words), "\n    ", ",\n    "
-    elif fmt in ("plain", "csv"):
-        if fmt == "csv":
-            yield "word\n"
+    elif fmt == "plain":
         words, first, joiner = (word + "\n" for word in words), "", ""
     else:
-        raise ValueError(f"unknown format: {fmt!r}")
+        words, first, joiner = _csv_rows(["word"], ([word] for word in words)), "", ""
     # A batch of words per chunk: one write per word costs more than encoding it.
     separator = first
     while batch := list(islice(words, 4096)):
@@ -229,8 +221,6 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
     tracked = sorted(set(letters)) if letters else list(DEFAULT_VERIFY_LETTERS)
-    if any(i < 1 for i in tracked):
-        raise ValueError("letters must all be >= 1")
 
     checks: list[Check] = []
     words_total = 0
@@ -265,7 +255,7 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
 
         for i in tracked:
             hist = oracle.histogram_of(counts, n, i)
-            hist_text = "{" + ",".join(f"{k}:{v}" for k, v in sorted(hist.counts.items())) + "}"
+            hist_text = "{" + ",".join(f"{k}:{v}" for k, v in hist.counts.items()) + "}"
             series = letter_series[i]
             add(f"n={n},i={i} histogram {hist_text}", hist.as_polynomial(), series.coefficient(n))
 
@@ -274,15 +264,15 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
             series = bounded_series[h]
             add(f"n={n},h={h} bounded count", Polynomial.constant(bounded), series.coefficient(n))
 
-    for depth in range(1, min(max_length, 10) + 1):
-        quotients = cfrac.generic_quotients(depth)
+    quotients = cfrac.generic_quotients(min(max_length, 10))
+    lower = cfrac.convergent(0, quotients)
+    product = Polynomial.one()
+    for depth, quotient in enumerate(quotients, 1):
         upper = cfrac.convergent(depth, quotients)
-        lower = cfrac.convergent(depth - 1, quotients)
         determinant = upper.h * lower.k - lower.h * upper.k
-        product = Polynomial.one()
-        for quotient in quotients:
-            product = product * quotient.value
+        product = product * quotient.value
         add(f"determinant identity depth {depth}", product, determinant)
+        lower = upper
 
     return VerifyReport(tuple(checks), words_total)
 

@@ -79,7 +79,7 @@ def format_word(word: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class Histogram:
-    """How many length-n words contain the tracked letter exactly k times, per k."""
+    """How many length-n words contain the tracked letter exactly k times, per k; k ascends."""
 
     letter: int
     length: int

@@ -253,6 +253,23 @@ def test_letter_five_printed_coefficients():
     )
 
 
+@pytest.mark.parametrize(
+    "letter_index, order, message",
+    [
+        (0, 0, "letter must be >= 1, got 0"),
+        (0, 5, "letter must be >= 1, got 0"),
+        (-1, 5, "letter must be >= 1, got -1"),
+        (1, -1, "order must be >= 0, got -1"),
+        (10**6, -1, "order must be >= 0, got -1"),
+        (-3, -2, "order must be >= 0, got -2"),  # the order is checked first
+    ],
+)
+def test_letter_series_validation(letter_index, order, message):
+    with pytest.raises(ValueError) as excinfo:
+        letter_gf_series(letter_index, order)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("i", range(1, 7))
 def test_letter_series_is_specialized_full_expansion(i):
     order = 10

@@ -390,7 +390,7 @@ def test_enumerate_words_csv_and_json(length, max_letter):
     command = f"enumerate --length {length}" + f" --max-letter {max_letter}" * bool(max_letter)
     assert stdout_of(command) == "".join(word + "\n" for word in words)
     csv_text = stdout_of(command + " --format csv")
-    assert csv_text == "word\n" + "".join(word + "\n" for word in words)
+    assert csv_text == "".join(csv_lines([["word"], *([w] for w in words)]))
     text = stdout_of(command + " --format json")
     obj = {"length": length, "max_letter": max_letter, "words": words}
     assert text == json.dumps(obj, indent=2) + "\n"
@@ -438,7 +438,7 @@ def test_verify_counts_all_words():
 def test_verify_letters_validation():
     with pytest.raises(ValueError):
         run_verify(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="letter must be >= 1, got 0"):
         run_verify(3, letters=[0])
 
 
@@ -526,12 +526,15 @@ def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
         ["enumerate", "--length", " 3 "],
         ["enumerate", "--length", "+3"],
         ["verify", "--max-length", "3\n"],
+        ["expand", "--letter", "5", "--order", "5", "--format", "xml"],
     ],
 )
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+    # argparse names a type function that raises ValueError; ours are private.
+    assert "invalid _" not in capsys.readouterr().err
 
 
 def test_parser_defaults():
