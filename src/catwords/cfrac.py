@@ -268,8 +268,6 @@ def _v_rows(p: Polynomial) -> list[list[int]]:
 
 def _subtract_product(acc: list[int], p: list[int], q: list[int]) -> None:
     """acc -= p * q, in place (acc may be left with trailing zeros)."""
-    if not p or not q:
-        return
     acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
     for i, a in enumerate(p):
         if a:

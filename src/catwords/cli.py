@@ -21,6 +21,7 @@ import csv
 import errno
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -59,6 +60,12 @@ def _at_least(minimum: int, text: str) -> int:
 
 _positive = partial(_at_least, 1)
 _nonnegative = partial(_at_least, 0)
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
 
 
 def _json_text(obj) -> str:
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="plain", help="output format")
-    common.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
+    common.add_argument("--output", type=_path, metavar="PATH", help="write to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -406,12 +413,14 @@ def _write_chunks(chunks: Iterable[str], path: str | None) -> None:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
         return
+    # open()'s mode: an existing file keeps its permission bits, a new one gets 0o666 & ~umask.
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else 0o666 & ~umask
     fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".catwords-")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes it 0600; give open()'s mode
+            os.fchmod(fd, mode)  # mkstemp makes it 0600
             handle.writelines(chunks)
             handle.flush()
             os.fsync(fd)

@@ -85,9 +85,6 @@ class Histogram:
     length: int
     counts: Mapping[int, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def as_polynomial(self) -> Polynomial:
         """The histogram encoded as a polynomial in V: sum of counts[k] * V^k."""
         return Polynomial({monomial({V: k} if k else {}): c for k, c in self.counts.items()})

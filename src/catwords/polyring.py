@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "C",
@@ -151,9 +151,6 @@ def _check_guards(keys: Iterable[int]) -> None:
         raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
 
 
-PolynomialLike = Union["Polynomial", int]
-
-
 class Polynomial:
     """A sparse multivariate polynomial with integer coefficients.
 
@@ -207,14 +204,8 @@ class Polynomial:
     def is_one(self) -> bool:
         return self._terms == {0: 1}
 
-    def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
-
     def coefficient(self, key: int) -> int:
         return self._terms.get(key, 0)
-
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(exponents(reduce(or_, self._terms, 0)))
 
     def sorted_terms(self) -> list[tuple[int, int]]:
         """Terms in the canonical order used for printing and serialization:
@@ -229,12 +220,9 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: PolynomialLike) -> "Polynomial":
+    def __add__(self, other: Polynomial | int) -> "Polynomial":
         other_poly = _as_poly(other)
         if other_poly is None:
             return NotImplemented
@@ -251,19 +239,19 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({key: -coeff for key, coeff in self._terms.items()})
 
-    def __sub__(self, other: PolynomialLike) -> "Polynomial":
+    def __sub__(self, other: Polynomial | int) -> "Polynomial":
         other_poly = _as_poly(other)
         if other_poly is None:
             return NotImplemented
         return self + (-other_poly)
 
-    def __rsub__(self, other: PolynomialLike) -> "Polynomial":
+    def __rsub__(self, other: Polynomial | int) -> "Polynomial":
         other_poly = _as_poly(other)
         if other_poly is None:
             return NotImplemented
         return other_poly + (-self)
 
-    def __mul__(self, other: PolynomialLike) -> "Polynomial":
+    def __mul__(self, other: Polynomial | int) -> "Polynomial":
         other_poly = _as_poly(other)
         if other_poly is None:
             return NotImplemented
@@ -286,7 +274,7 @@ class Polynomial:
             result = result * self
         return result
 
-    def specialize(self, assignment: Mapping[Variable, PolynomialLike]) -> "Polynomial":
+    def specialize(self, assignment: Mapping[Variable, Polynomial | int]) -> "Polynomial":
         """Simultaneously replace assigned variables by polynomial values.
 
         No value may mention a variable that is itself assigned (raises
@@ -302,7 +290,7 @@ class Polynomial:
             if poly is None:
                 raise TypeError(f"assignment for {var} must be a Polynomial or int")
             values[var.slot] = poly
-            clash = poly.variables() & keyed
+            clash = exponents(reduce(or_, poly._terms, 0)).keys() & keyed
             if clash:
                 names = ", ".join(sorted(v.name for v in clash))
                 raise RecursiveAssignment(
@@ -324,11 +312,6 @@ class Polynomial:
         if other_poly is None:
             return NotImplemented
         return self._terms == other_poly._terms
-
-    def __hash__(self) -> int:
-        if self.is_constant():
-            return hash(self.constant_term)
-        return hash(frozenset(self._terms.items()))
 
     def format_plain(self, ascending: bool = False) -> str:
         """Compact rendering such as ``1-zVC-2z+z^2VC``.
@@ -420,7 +403,7 @@ class Series:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[PolynomialLike]) -> None:
+    def __init__(self, coeffs: Iterable[Polynomial | int]) -> None:
         out: list[Polynomial] = []
         for c in coeffs:
             poly = _as_poly(c)
@@ -448,7 +431,7 @@ class Series:
 
     # -- arithmetic -------------------------------------------------------
 
-    def specialize(self, assignment: Mapping[Variable, PolynomialLike]) -> "Series":
+    def specialize(self, assignment: Mapping[Variable, Polynomial | int]) -> "Series":
         """Apply a substitution to every coefficient (must stay z-free)."""
         return Series([c.specialize(assignment) for c in self._coeffs])
 

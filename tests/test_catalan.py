@@ -22,6 +22,8 @@ def test_first_values():
 
 def test_order_zero():
     assert catalan_series(0) == Series([1])
+    with pytest.raises(ValueError):
+        catalan_numbers(-1)
 
 
 def test_tenth_coefficient_matches_enumeration():

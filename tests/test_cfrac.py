@@ -79,6 +79,12 @@ def test_quotient_and_convergent_validation():
         Convergent(1, ONE, z + 2)  # denominator constant term must be 1
     with pytest.raises(ValueError):
         LetterGF(1, ONE, 2 * ONE - z)
+    with pytest.raises(ValueError):
+        LetterGF(0, ONE, ONE)
+    with pytest.raises(ValueError):
+        convergent(-1, generic_quotients(1))
+    with pytest.raises(ValueError):
+        bounded_letter_series(0, 3)
 
 
 # -- classical identities -------------------------------------------------------

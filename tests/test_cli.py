@@ -455,6 +455,8 @@ def test_verify_json_and_csv_render():
     lines = render_verify(report, "csv").splitlines()
     assert lines[0] == "status,description,expected,actual"
     assert all(line.startswith("pass,") for line in lines[1:])
+    with pytest.raises(ValueError, match="unknown format: 'xml'"):
+        render_verify(report, "xml")
 
 
 def test_verify_detects_and_reports_mismatch(capsys, monkeypatch):
@@ -527,6 +529,7 @@ def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
         ["enumerate", "--length", "+3"],
         ["verify", "--max-length", "3\n"],
         ["expand", "--letter", "5", "--order", "5", "--format", "xml"],
+        ["expand", "--letter", "5", "--order", "5", "--output", ""],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -648,8 +651,17 @@ def test_failed_output_leaves_previous_file(tmp_path, monkeypatch):
 def test_output_replaces_file_and_writes_through_pipes(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old\n" * 100)
+    target.chmod(0o600)
     assert main(["enumerate", "--length", "3", "--output", str(target)]) == 0
     assert target.read_bytes() == golden_bytes("enumerate_length3.txt")
+    # The replacement keeps the old file's permission bits; a new file gets open()'s.
+    assert target.stat().st_mode & 0o777 == 0o600
+    fresh = tmp_path / "new.txt"
+    assert main(["enumerate", "--length", "3", "--output", str(fresh)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    fresh.unlink()
     # A named pipe, like a device, is written through rather than replaced.
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
