@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .catalan import catalan_numbers, catalan_series
 from .polyring import (
@@ -191,15 +191,16 @@ def _path_sum(weights: Sequence[int], order: int) -> Iterator[dict[int, int]]:
             if n < order and h < len(weights):
                 weight = weights[h]  # letter h + 1 may follow letters h and above
                 grown.append({key + weight: count for key, count in total.items()})
+        ends = [{}, *reversed(grown)]  # frees E_n before the caller renders the row
         yield total
-        ends = [{}, *reversed(grown)]
 
 
 def _expand_with_tail(
-    weight: Callable[[int], int], depth: int, tail_mode: str, order: int
-) -> Series:
-    """The path sum through the order when letter h <= depth weighs the
-    monomial keyed weight(h), under the given tail."""
+    depth: int, tail_mode: str, order: int, generic: bool
+) -> Iterator[Polynomial]:
+    """The z^0..z^order coefficients of the path sum under the given tail, each
+    computed as it is taken; letter h <= depth weighs v_h when generic, else 1.
+    The inputs are checked at the call."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if order < 0:
@@ -209,10 +210,10 @@ def _expand_with_tail(
     # A word of length at most the order never uses a letter above the order,
     # so a deeper convergent has the same coefficients through that order.
     depth = min(depth, max(order, 1))
-    weights = [weight(h) for h in range(1, depth + 1)]
+    weights = [monomial({letter(h): 1}) if generic else 0 for h in range(1, depth + 1)]
     if tail_mode == TAIL_CATALAN:
         weights += [0] * (order - depth)  # the letters above the depth weigh 1
-    return Series(map(Polynomial._raw, _path_sum(weights, order)))
+    return map(Polynomial._raw, _path_sum(weights, order))
 
 
 def gf_full(depth: int, tail_mode: str, order: int) -> Series:
@@ -222,12 +223,12 @@ def gf_full(depth: int, tail_mode: str, order: int) -> Series:
     restricted to <= depth when tail_mode is "one"), of prod_j v_j^(number of
     occurrences of letter j).
     """
-    return _expand_with_tail(lambda h: monomial({letter(h): 1}), depth, tail_mode, order)
+    return Series(_expand_with_tail(depth, tail_mode, order, generic=True))
 
 
 def unweighted_series(depth: int, tail_mode: str, order: int) -> Series:
     """Expansion of the depth-n convergent with every letter weight set to 1."""
-    return _expand_with_tail(lambda h: 0, depth, tail_mode, order)
+    return Series(_expand_with_tail(depth, tail_mode, order, generic=False))
 
 
 def rational_form(letter_index: int) -> LetterGF:
@@ -292,23 +293,35 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     Computed as (A + B*C)/E from the conjugate-rationalized closed form (see
     the module docstring), in O(order * letter) V-polynomial operations.
     """
+    return Series(_letter_rows(letter_index, order))
+
+
+def _letter_rows(letter_index: int, order: int) -> Iterator[Polynomial]:
+    """The z^0..z^order coefficients of ``letter_gf_series``, each computed as
+    it is taken.  The inputs are checked, and the closed form built, at the call."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if letter_index > order:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
-        return catalan_series(order)
+        return iter(catalan_series(order).coefficients)
     p, q, r = _letter_parts(letter_index)
     zvv = _Z * _V * _V
     a = _v_rows(q * p - _V * q * q + zvv * r * q)
     e = _v_rows(p * p - _V * p * q + zvv * q * q)
     if not e or e[0] != [1, -1]:
         raise ArithmeticError("expected E(0) = 1 - V")
+    return _divide_rows(a, e, letter_index, order)
 
+
+def _divide_rows(
+    a: list[list[int]], e: list[list[int]], letter_index: int, order: int
+) -> Iterator[Polynomial]:
+    """The rows of (A + V*z^i*C)/E through the order, each yielded once final;
+    only the last deg_z(E) rows are kept."""
     catalan = catalan_numbers(order)
     monomials = [monomial()]  # the key of V^k, shared by every row
     recent: deque[list[int]] = deque(maxlen=len(e) - 1)  # series rows n-1, n-2, ...
-    coeffs: list[Polynomial] = []
     for n in range(order + 1):
         acc = list(a[n]) if n < len(a) else []
         if n >= letter_index:  # B*C with B = V*z^i adds C_{n-i} to the V coefficient
@@ -320,8 +333,7 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
         recent.append(row)
         while len(monomials) < len(row):
             monomials.append(monomial({V: len(monomials)}))
-        coeffs.append(Polynomial._raw({monomials[k]: c for k, c in enumerate(row) if c}))
-    return Series(coeffs)
+        yield Polynomial._raw({monomials[k]: c for k, c in enumerate(row) if c})
 
 
 def bounded_letter_series(max_letter: int, order: int) -> Series:

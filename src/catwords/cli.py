@@ -1,8 +1,10 @@
 """Command-line front end: expansions, closed forms, enumeration, verification.
 
-``expand``, ``cfrac`` and ``rational`` write their output as it is rendered,
-one coefficient (or part) at a time, so memory never holds the whole output
-string; each JSON polynomial is written directly in the layout that
+``expand`` and ``cfrac`` take each coefficient from the recurrence that
+computes it and write it before the next is computed, so memory holds a few
+coefficients at a time, never the whole series or the whole output;
+``rational`` writes one part at a time.  A JSON polynomial is written
+straight from its packed keys (``Polynomial.format_json``) in the layout that
 ``json.dumps(..., indent=2)`` gives.  A letter above the expansion order costs
 nothing: no word that short uses it, so ``expand`` prints the Catalan numbers
 without building the letter's closed form.
@@ -31,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from . import catalan, cfrac, oracle
-from .polyring import Polynomial, Series, _json_int, monomial_str
+from .polyring import Polynomial, _json_int, _plain_series, monomial_str
 
 FORMATS = ("plain", "json", "csv")
 DEFAULT_VERIFY_LETTERS = (1, 2, 3, 4, 5)
@@ -91,38 +93,21 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "".join(_csv_rows(header, rows))
 
 
-def _json_terms(terms: list, depth: int) -> str:
-    """A ``Polynomial.to_json_obj()`` list as ``json.dumps(..., indent=2)`` writes
-    it as a value nested ``depth`` levels deep.  Its coefficient strings, variable
-    names and exponents need no escaping."""
-    if not terms:
-        return "[]"
-    pad0, pad1, pad2, pad3 = ("\n" + "  " * (depth + i) for i in range(4))
-    items = []
-    for term in terms:
-        powers = term["monomial"]
-        fields = f",{pad3}".join(f'"{name}": {e}' for name, e in powers.items())
-        monomial = f"{{{pad3}{fields}{pad2}}}" if powers else "{}"
-        items.append(f'{{{pad2}"coeff": "{term["coeff"]}",{pad2}"monomial": {monomial}{pad1}}}')
-    return f"[{pad1}" + f",{pad1}".join(items) + f"{pad0}]"
-
-
-def _render_series(series: Series, fmt: str) -> Iterator[str]:
-    """The rendered series, one chunk per coefficient."""
+def _render_series(order: int, coefficients: Iterable[Polynomial], fmt: str) -> Iterator[str]:
+    """The rendered series, one chunk per coefficient, each coefficient taken
+    from the iterable only when its chunk is rendered."""
     if fmt == "plain":
-        yield from series.iter_plain()
+        yield from _plain_series(coefficients)
         yield "\n"
     elif fmt == "json":
-        yield f'{{\n  "order": {series.order},\n  "coeffs": ['
+        yield f'{{\n  "order": {order},\n  "coeffs": ['
         separator = "\n    "
-        for coeff in series.coefficients:
-            yield separator + _json_terms(coeff.to_json_obj(), 2)
+        for coeff in coefficients:
+            yield separator + coeff.format_json(2)
             separator = ",\n    "
         yield "\n  ]\n}\n"
     else:
-        rows = (
-            [n, coeff.format_plain(ascending=True)] for n, coeff in enumerate(series.coefficients)
-        )
+        rows = ([n, coeff.format_plain(ascending=True)] for n, coeff in enumerate(coefficients))
         yield from _csv_rows(["n", "coefficient"], rows)
 
 
@@ -133,9 +118,9 @@ def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
         yield f"denominator: {form.denominator.format_plain()}\n"
     elif fmt == "json":
         yield f'{{\n  "letter": {form.letter},\n  "numerator": '
-        yield _json_terms(form.numerator.to_json_obj(), 1)
+        yield form.numerator.format_json(1)
         yield ',\n  "denominator": '
-        yield _json_terms(form.denominator.to_json_obj(), 1) + "\n}\n"
+        yield form.denominator.format_json(1) + "\n}\n"
     else:
         rows = (
             ["numerator", form.numerator.format_plain()],
@@ -438,12 +423,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     status = 0
     if args.command == "expand":
-        chunks: Iterable[str] = _render_series(
-            cfrac.letter_gf_series(args.letter, args.order), args.format
-        )
+        rows = cfrac._letter_rows(args.letter, args.order)
+        chunks: Iterable[str] = _render_series(args.order, rows, args.format)
     elif args.command == "cfrac":
-        expand = cfrac.gf_full if args.generic else cfrac.unweighted_series
-        chunks = _render_series(expand(args.depth, args.tail, args.order), args.format)
+        rows = cfrac._expand_with_tail(args.depth, args.tail, args.order, args.generic)
+        chunks = _render_series(args.order, rows, args.format)
     elif args.command == "rational":
         chunks = _render_rational(cfrac.rational_form(args.letter), args.format)
     elif args.command == "enumerate":

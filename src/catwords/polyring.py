@@ -137,12 +137,38 @@ def exponents(key: int) -> dict[Variable, int]:
     return {Variable._at(slot): e for slot, e in enumerate(_slots(key)) if e}
 
 
+@lru_cache(maxsize=1024)  # bounded: the keys of a multivariate series rarely repeat
 def monomial_str(key: int) -> str:
     """A key's monomial as printed, factors in display order: ``z^2Vv1`` or ``1``."""
     exps = _slots(key)
-    factors = [*enumerate(exps[:1]), *enumerate(exps[2:], 2), *enumerate(exps[1:2], 1)]
-    names = ((_slot_name(slot), e) for slot, e in factors if e)
-    return "".join(name if e == 1 else f"{name}^{e}" for name, e in names) or "1"
+    factors = [(name, exps[slot]) for slot, name in _display_names(len(exps)) if exps[slot]]
+    return "".join([name if e == 1 else f"{name}^{e}" for name, e in factors]) or "1"
+
+
+@lru_cache
+def _display_names(fields: int) -> tuple[tuple[int, str], ...]:
+    """(slot, name) for the first ``fields`` slots in display order: z, V, v1, v2, ..., C."""
+    return tuple((slot, _slot_name(slot)) for slot in [0, *range(2, fields), 1][:fields])
+
+
+@lru_cache(maxsize=1024)  # bounded: the keys of a multivariate series rarely repeat
+def _json_term_tail(depth: int, key: int) -> str:
+    """What follows a term's coefficient digits in ``Polynomial.format_json(depth)``:
+    the closing quote, the key's ``"monomial": {...}`` and the term's closing brace."""
+    pad1 = "\n" + "  " * (depth + 1)
+    pad2 = pad1 + "  "
+    exps = _slots(key)
+    names = _json_names(len(exps), depth)
+    fields = "".join([names[slot] + str(e) for slot, e in enumerate(exps) if e])
+    monomial = f"{{{fields[1:]}{pad2}}}" if key else "{}"
+    return f'",{pad2}"monomial": {monomial}{pad1}}}'
+
+
+@lru_cache
+def _json_names(fields: int, depth: int) -> tuple[str, ...]:
+    """Per slot, the separator and name that open its field in ``_json_term_tail``."""
+    pad3 = "\n" + "  " * (depth + 3)
+    return tuple(f',{pad3}"{_slot_name(slot)}": ' for slot in range(fields))
 
 
 def _check_guards(keys: Iterable[int]) -> None:
@@ -341,6 +367,17 @@ class Polynomial:
 
     # -- serialization ----------------------------------------------------
 
+    def format_json(self, depth: int = 0) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)`` for a value nested ``depth``
+        levels deep, written straight from the keys.  Coefficient strings,
+        variable names and exponents need no escaping."""
+        if not self._terms:
+            return "[]"
+        pad0, pad1, pad2 = ("\n" + "  " * (depth + i) for i in range(3))
+        head = f'{{{pad2}"coeff": "'
+        terms = [f"{coeff}{_json_term_tail(depth, key)}" for key, coeff in self.sorted_terms()]
+        return f"[{pad1}{head}" + f",{pad1}{head}".join(terms) + f"{pad0}]"
+
     def to_json_obj(self) -> list:
         fields = -(-reduce(or_, self._terms, 0).bit_length() // _WIDTH)
         unpack, size = _reader(fields)
@@ -444,25 +481,7 @@ class Series:
 
     def format_plain(self) -> str:
         """Rendering such as ``1 + z + 2 z^2 + (41+V) z^5`` (zero terms skipped)."""
-        return "".join(self.iter_plain())
-
-    def iter_plain(self) -> Iterator[str]:
-        """``format_plain`` in pieces, one per nonzero coefficient: ``1``, `` + z``, ..."""
-        separator = ""
-        for n, coeff in enumerate(self._coeffs):
-            if coeff.is_zero():
-                continue
-            text = coeff.format_plain(ascending=True)
-            wrapped = f"({text})" if len(coeff) > 1 or text.startswith("-") else text
-            if n == 0:
-                term = wrapped
-            else:
-                zpow = "z" if n == 1 else f"z^{n}"
-                term = zpow if coeff.is_one() else f"{wrapped} {zpow}"
-            yield separator + term
-            separator = " + "
-        if not separator:
-            yield "0"
+        return "".join(_plain_series(self._coeffs))
 
     def __repr__(self) -> str:
         return self.format_plain()
@@ -478,6 +497,26 @@ class Series:
         if len(coeffs) != _json_int(obj["order"]) + 1:
             raise ValueError("coefficient count does not match declared order")
         return cls(coeffs)
+
+
+def _plain_series(coefficients: Iterable[Polynomial]) -> Iterator[str]:
+    """``Series.format_plain`` of these coefficients in pieces, one per nonzero
+    coefficient (``1``, `` + z``, ...), each formatted as it is taken."""
+    separator = ""
+    for n, coeff in enumerate(coefficients):
+        if coeff.is_zero():
+            continue
+        text = coeff.format_plain(ascending=True)
+        wrapped = f"({text})" if len(coeff) > 1 or text.startswith("-") else text
+        if n == 0:
+            term = wrapped
+        else:
+            zpow = "z" if n == 1 else f"z^{n}"
+            term = zpow if coeff.is_one() else f"{wrapped} {zpow}"
+        yield separator + term
+        separator = " + "
+    if not separator:
+        yield "0"
 
 
 def series_mul(a: Series, b: Series) -> Series:

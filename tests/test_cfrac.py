@@ -12,6 +12,8 @@ from catwords.cfrac import (
     InsufficientQuotients,
     LetterGF,
     PartialQuotient,
+    _expand_with_tail,
+    _letter_rows,
     bounded_letter_series,
     convergent,
     generic_quotients,
@@ -149,6 +151,15 @@ def test_gf_full_validation():
         gf_full(2, TAIL_CATALAN, -1)
     with pytest.raises(ValueError):
         gf_full(2, "somewhere", 3)
+    # The row generator the CLI streams checks its inputs at the call, before
+    # the first row is asked for.
+    for generic in (True, False):
+        with pytest.raises(ValueError):
+            _expand_with_tail(0, TAIL_CATALAN, 3, generic)
+        with pytest.raises(ValueError):
+            _expand_with_tail(2, TAIL_CATALAN, -1, generic)
+        with pytest.raises(ValueError):
+            _expand_with_tail(2, "somewhere", 3, generic)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -274,6 +285,20 @@ def test_letter_series_validation(letter_index, order, message):
     with pytest.raises(ValueError) as excinfo:
         letter_gf_series(letter_index, order)
     assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        _letter_rows(letter_index, order)  # at the call, before the first row
+    assert str(excinfo.value) == message
+
+
+def test_letter_rows_are_final_when_yielded():
+    # The CLI writes each row as it comes, so the rows through n must be the
+    # series of order n, whatever order the generator runs to.
+    for i in range(1, 9):
+        rows = list(_letter_rows(i, 20))
+        for n in range(21):
+            assert letter_gf_series(i, n) == Series(rows[: n + 1])
+    for i, n in ((21, 20), (9, 0), (10**6, 5)):
+        assert letter_gf_series(i, n) == Series(_letter_rows(i, n)) == catalan_series(n)
 
 
 @pytest.mark.parametrize("i", range(1, 7))

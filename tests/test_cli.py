@@ -324,11 +324,35 @@ EDGE_SERIES = Series(
 @example(EDGE_SERIES)
 @example(Series([Polynomial.zero()]))
 def test_series_renderers_match_reference(series):
-    render = catwords.cli._render_series
+    def render(series, fmt):
+        return catwords.cli._render_series(series.order, series.coefficients, fmt)
+
     assert "".join(render(series, "json")) == json.dumps(series.to_json_obj(), indent=2) + "\n"
     assert "".join(render(series, "plain")) == series.format_plain() + "\n"
     rows = [[n, c.format_plain(ascending=True)] for n, c in enumerate(series.coefficients)]
     assert list(render(series, "csv")) == csv_lines([["n", "coefficient"], *rows])
+
+
+def test_series_render_pulls_one_coefficient_per_chunk():
+    # The renderer takes a coefficient only when it renders that coefficient's
+    # chunk, so each one is written before the next is computed.
+    series = letter_gf_series(5, 12)
+    leading = {"plain": 1, "json": 2, "csv": 2}  # header chunks, then coefficient 0
+    for fmt in FORMATS:
+        pulled = 0
+
+        def counting():
+            nonlocal pulled
+            for coeff in series.coefficients:
+                pulled += 1
+                yield coeff
+
+        chunks = catwords.cli._render_series(series.order, counting(), fmt)
+        head = [next(chunks) for _ in range(leading[fmt])]
+        assert pulled == 1, fmt
+        text = "".join(head) + "".join(chunks)
+        assert pulled == series.order + 1
+        assert text == "".join(catwords.cli._render_series(series.order, series.coefficients, fmt))
 
 
 @settings(max_examples=150, deadline=None)
@@ -536,8 +560,14 @@ def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+    err = capsys.readouterr().err
     # argparse names a type function that raises ValueError; ours are private.
-    assert "invalid _" not in capsys.readouterr().err
+    assert "invalid _" not in err
+    # argparse's usage lines, then `catwords: error: ...` or, for an error in a
+    # subcommand's arguments, `catwords <command>: error: ...`.
+    assert err.startswith("usage: catwords")
+    assert ": error: " in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 def test_parser_defaults():
