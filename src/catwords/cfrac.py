@@ -51,10 +51,9 @@ coefficient of the quotient lies in Z[V], so each step divides exactly by
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from typing import Iterator, Sequence
 
 from .catalan import catalan_numbers, catalan_series
 from .polyring import (
@@ -98,44 +97,39 @@ class InsufficientQuotients(ValueError):
     """Fewer partial quotients were supplied than the requested depth."""
 
 
-@dataclass(frozen=True)
-class PartialQuotient:
+class PartialQuotient(namedtuple("PartialQuotient", "index value")):
     """Numerator a_i at depth i of the continued fraction."""
 
-    index: int
-    value: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"quotient index must be >= 1, got {self.index}")
+    def __new__(cls, index: int, value: Polynomial) -> PartialQuotient:
+        if index < 1:
+            raise ValueError(f"quotient index must be >= 1, got {index}")
+        return super().__new__(cls, index, value)
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(namedtuple("Convergent", "depth h k")):
     """The numerator/denominator pair (h, k) at a truncation depth."""
 
-    depth: int
-    h: Polynomial
-    k: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k.constant_term != 1:
+    def __new__(cls, depth: int, h: Polynomial, k: Polynomial) -> Convergent:
+        if k.constant_term != 1:
             raise ValueError("convergent denominator must have constant term 1")
+        return super().__new__(cls, depth, h, k)
 
 
-@dataclass(frozen=True)
-class LetterGF:
+class LetterGF(namedtuple("LetterGF", "letter numerator denominator")):
     """Closed rational form over {z, V, C} tracking one letter's occurrences."""
 
-    letter: int
-    numerator: Polynomial
-    denominator: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.letter < 1:
-            raise ValueError(f"letter must be >= 1, got {self.letter}")
-        if self.denominator.constant_term != 1:
+    def __new__(cls, letter: int, numerator: Polynomial, denominator: Polynomial) -> LetterGF:
+        if letter < 1:
+            raise ValueError(f"letter must be >= 1, got {letter}")
+        if denominator.constant_term != 1:
             raise ValueError("denominator must have constant term 1")
+        return super().__new__(cls, letter, numerator, denominator)
 
     def to_json_obj(self) -> dict:
         return {

@@ -7,7 +7,9 @@ coefficients at a time, never the whole series or the whole output;
 straight from its packed keys (``Polynomial.format_json``) in the layout that
 ``json.dumps(..., indent=2)`` gives.  A letter above the expansion order costs
 nothing: no word that short uses it, so ``expand`` prints the Catalan numbers
-without building the letter's closed form.
+without building the letter's closed form.  ``json``, ``csv`` and
+``tempfile`` are imported only on the paths that use them, so a command does
+not pay for them at start-up.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
 when the output file or stdout cannot be written, stdout closed before the
@@ -19,18 +21,14 @@ status it would otherwise have had.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import json
 import os
 import stat
 import sys
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from itertools import islice
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
 
 from . import catalan, cfrac, oracle
 from .polyring import Polynomial, _json_int, _plain_series, monomial_str
@@ -71,6 +69,8 @@ def _path(text: str) -> str:
 
 
 def _json_text(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -83,6 +83,8 @@ class _Echo:
 
 def _csv_rows(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
     """The lines of a CSV table, one chunk per row, header first."""
+    import csv
+
     writer = csv.writer(_Echo(), lineterminator="\n")
     yield writer.writerow(header)
     for row in rows:
@@ -107,8 +109,10 @@ def _render_series(order: int, coefficients: Iterable[Polynomial], fmt: str) -> 
             separator = ",\n    "
         yield "\n  ]\n}\n"
     else:
-        rows = ([n, coeff.format_plain(ascending=True)] for n, coeff in enumerate(coefficients))
-        yield from _csv_rows(["n", "coefficient"], rows)
+        # A plain polynomial holds no comma, quote or newline: no field needs quoting.
+        yield "n,coefficient\n"
+        for n, coeff in enumerate(coefficients):
+            yield f"{n},{coeff.format_plain(ascending=True)}\n"
 
 
 def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
@@ -122,11 +126,9 @@ def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
         yield ',\n  "denominator": '
         yield form.denominator.format_json(1) + "\n}\n"
     else:
-        rows = (
-            ["numerator", form.numerator.format_plain()],
-            ["denominator", form.denominator.format_plain()],
-        )
-        yield from _csv_rows(["part", "polynomial"], rows)
+        yield "part,polynomial\n"
+        yield f"numerator,{form.numerator.format_plain()}\n"
+        yield f"denominator,{form.denominator.format_plain()}\n"
 
 
 def _render_enumerate(
@@ -150,6 +152,8 @@ def _render_enumerate(
         return
     words = map(oracle.format_word, oracle.enumerate_words(length, max_letter))
     if fmt == "json":
+        from json.encoder import encode_basestring_ascii
+
         # Stream the words array into the document that json.dumps would give.
         document = {"length": length, "max_letter": max_letter, "words": []}
         head, tail = _json_text(document).split("[]")
@@ -168,25 +172,21 @@ def _render_enumerate(
         yield ("]" if separator == first else "\n  ]") + tail
 
 
-@dataclass(frozen=True)
-class Check:
-    """One verify check.  expected and actual are the two values compared,
-    printed with str() only by the renderers that show them.  A failed
-    polynomial check keeps only the first monomial, in sorted_terms order,
-    whose coefficients differ: ``at`` names it ("" for the constant term) and
-    expected/actual are its two coefficients."""
+class Check(namedtuple("Check", "description status expected actual at", defaults=("",))):
+    """One verify check; status is "pass" or "fail".  expected and actual are
+    the two values compared, a Polynomial or an int, printed with str() only
+    by the renderers that show them.  A failed polynomial check keeps only the
+    first monomial, in sorted_terms order, whose coefficients differ: ``at``
+    names it ("" for the constant term) and expected/actual are its two
+    coefficients."""
 
-    description: str
-    status: str  # "pass" or "fail"
-    expected: Polynomial | int
-    actual: Polynomial | int
-    at: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[Check, ...]
-    words_enumerated: int
+class VerifyReport(namedtuple("VerifyReport", "checks words_enumerated")):
+    """The checks of ``run_verify``, in order, and how many words it enumerated."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> int:
@@ -402,6 +402,8 @@ def _write_chunks(chunks: Iterable[str], path: str | None) -> None:
     umask = os.umask(0)
     os.umask(umask)
     mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else 0o666 & ~umask
+    import tempfile
+
     fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".catwords-")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:

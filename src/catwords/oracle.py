@@ -9,9 +9,8 @@ in ascending order, so a word's key is the word sorted.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 
 from .polyring import Polynomial, V, letter, monomial
 
@@ -77,13 +76,10 @@ def format_word(word: tuple[int, ...]) -> str:
     return "".join(str(a) for a in word)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(namedtuple("Histogram", "letter length counts")):
     """How many length-n words contain the tracked letter exactly k times, per k; k ascends."""
 
-    letter: int
-    length: int
-    counts: Mapping[int, int]
+    __slots__ = ()
 
     def as_polynomial(self) -> Polynomial:
         """The histogram encoded as a polynomial in V: sum of counts[k] * V^k."""

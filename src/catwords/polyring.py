@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache, reduce, total_ordering
 from operator import or_
-from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "C",
@@ -57,7 +56,7 @@ def _slot_name(slot: int) -> str:
     return "zCV"[slot] if slot < 3 else f"v{slot - 2}"
 
 
-@dataclass(order=True, slots=True)
+@total_ordering
 class Variable:
     """A formal variable with a fixed slot: z = 0, C = 1, V = 2, v_i = 2 + i.
 
@@ -68,7 +67,7 @@ class Variable:
     functions are conventionally written.
     """
 
-    slot: int
+    __slots__ = ("slot",)
 
     def __init__(self, name: str) -> None:
         slot = _NAMED_SLOTS.get(name)
@@ -87,6 +86,12 @@ class Variable:
     @property
     def name(self) -> str:
         return _slot_name(self.slot)
+
+    def __eq__(self, other: object) -> bool:
+        return self.slot == other.slot if other.__class__ is self.__class__ else NotImplemented
+
+    def __lt__(self, other: Variable) -> bool:
+        return self.slot < other.slot if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.slot)

@@ -299,6 +299,17 @@ def letter_gfs():
     return st.builds(build, st.integers(1, 10**6), parts, parts)
 
 
+def examples(values):
+    """Each of values as an explicit Hypothesis example."""
+
+    def add(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return add
+
+
 def csv_lines(rows):
     """One csv.writer line per row."""
     lines = []
@@ -323,6 +334,8 @@ EDGE_SERIES = Series(
 @given(st.lists(polynomials([C, V, *LETTERS]), min_size=1, max_size=8).map(Series))
 @example(EDGE_SERIES)
 @example(Series([Polynomial.zero()]))
+@example(letter_gf_series(5, 300))
+@example(gf_full(6, TAIL_CATALAN, 10))
 def test_series_renderers_match_reference(series):
     def render(series, fmt):
         return catwords.cli._render_series(series.order, series.coefficients, fmt)
@@ -358,6 +371,7 @@ def test_series_render_pulls_one_coefficient_per_chunk():
 @settings(max_examples=150, deadline=None)
 @given(letter_gfs())
 @example(LetterGF(1, Polynomial.zero(), Polynomial.one()))
+@examples(map(rational_form, range(1, 12)))
 def test_rational_renderers_match_reference(form):
     render = catwords.cli._render_rational
     assert "".join(render(form, "json")) == json.dumps(form.to_json_obj(), indent=2) + "\n"
