@@ -3,8 +3,8 @@
 A Catalan word a_1 ... a_n has a_1 = 1 and a_{i+1} <= a_i + 1.  Enumeration
 runs an explicit lexicographic-successor loop (no recursion), so long words
 are cheap and the strictly increasing yield order is part of the contract.
-Every statistic reads off one tally that counts the words by their letters
-in ascending order, so a word's key is the word sorted.
+Every statistic reads off one tally that counts the words of that loop by
+their letters in ascending order, so a word's key is the word sorted.
 """
 
 from __future__ import annotations
@@ -91,33 +91,30 @@ def tally(n: int) -> Counter[tuple[int, ...]]:
 
     A word's key is ``tuple(sorted(word))``: (1, 1, 2) stands for 112 and 121,
     and ``tally(0)`` is ``{(): 1}``.  Every statistic below reads off this tally.
-    The loop is that of ``enumerate_words``, with each word's letter counts kept
-    as one packed int (n.bit_length() bits per letter) that the successor
-    updates only where it changes the word.
+    A word's letter counts are one packed int (n.bit_length() bits per letter).
+    Each word of ``enumerate_words(n - t)``, t = min(n, 2), is packed once, and
+    each t-letter ending the Catalan rule allows after its last letter is
+    counted on top of it, so the words are counted in lexicographic order.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     width = n.bit_length()
     fields = [1 << (width * j) for j in range(n + 2)]  # fields[j] is one letter j
-    field = fields.__getitem__
-    last = n - 1
-    word, ones = [1] * n, [1] * n
-    occurrences = n * fields[1]
+    t = min(n, 2)
+    # endings[h]: the packed k-letter endings allowed after letter h, k = 0..t
+    endings = [[0]] * (n + 1)
+    for k in range(1, t + 1):
+        endings = [
+            [fields[a] + end for a in range(1, h + 2) for end in endings[a]]
+            for h in range(n - k + 1)
+        ]
     counts: dict[int, int] = {}
     get = counts.get
-    while True:
-        counts[occurrences] = get(occurrences, 0) + 1
-        i = last
-        while i > 0 and word[i] > word[i - 1]:
-            i -= 1
-        if i <= 0:
-            break
-        a = word[i]
-        word[i] = a + 1
-        occurrences += fields[a + 1] - fields[a]
-        if i < last:
-            occurrences += (last - i) * fields[1] - sum(map(field, word[i + 1 :]))
-            word[i + 1 :] = ones[i + 1 :]
+    for prefix in enumerate_words(n - t):
+        start = sum(map(fields.__getitem__, prefix))
+        for end in endings[prefix[-1] if prefix else 0]:
+            key = start + end
+            counts[key] = get(key, 0) + 1
     mask = fields[1] - 1
     return Counter(
         {

@@ -117,6 +117,16 @@ OUTPUT_SHA256 = {
     "rational --letter 4": (
         "275885df0c32d8c96868e66a199206fbe6de607217c46c5c90ec737f0e9d0a54"
     ),
+    # Length 10 holds the first dotted word, 1.2.3.4.5.6.7.8.9.10.
+    "enumerate --length 10": (
+        "28d04d772c7436720de2895c55e0a960d1bc131508e3e6d7ab50c0354a4cd2ee"
+    ),
+    "enumerate --length 10 --format json": (
+        "e17410cc743261daccc358046b72ba114fd735276daf26e35d63afcb9c7de7de"
+    ),
+    "enumerate --length 10 --format csv": (
+        "0023f389bcb3d6f7ebd455fe58a0f2ce92f63b1e3f671406e0977a88b268ad74"
+    ),
 }
 
 

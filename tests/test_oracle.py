@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from catwords import oracle
 from catwords.catalan import catalan_numbers
 from catwords.oracle import (
     Histogram,
@@ -175,11 +176,27 @@ def test_tally_keys_are_sorted_letters():
 
 @pytest.mark.parametrize("n", range(14))
 def test_tally_matches_textbook_counter(n):
-    # The packed-key loop against the textbook tally.  At n = 1, 3 and 7 the
+    # The tally's packed keys against the textbook tally.  At n = 1, 3 and 7 the
     # word 1^n fills letter 1's field of n.bit_length() bits to its top.
     expected = Counter(tuple(sorted(word)) for word in enumerate_words(n))
     counts = tally(n)
     assert type(counts) is Counter and counts == expected
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_tally_counts_the_words_of_one_enumeration(monkeypatch, n):
+    # The tally walks enumerate_words itself, looked up on the module as a
+    # tracer that rebinds it would see: one pass, no longer than the words.
+    calls = []
+
+    def recorder(length, *args, **kwargs):
+        calls.append(length)
+        return enumerate_words(length, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_words", recorder)
+    counts = tally(n)
+    assert len(calls) == 1 and calls[0] <= n
+    assert counts == Counter(tuple(sorted(word)) for word in enumerate_words(n))
 
 
 # Reference loops: each statistic from its own enumeration pass, as the oracle
