@@ -4,7 +4,7 @@ A Catalan word a_1 ... a_n has a_1 = 1 and a_{i+1} <= a_i + 1.  Enumeration
 runs an explicit lexicographic-successor loop (no recursion), so long words
 are cheap and the strictly increasing yield order is part of the contract.
 Every statistic reads off one tally that counts the words of that loop by
-their letters in ascending order, so a word's key is the word sorted.
+their monomials, so a word's key is the ``monomial`` key of its letters.
 """
 
 from __future__ import annotations
@@ -86,22 +86,21 @@ class Histogram(namedtuple("Histogram", "letter length counts")):
         return Polynomial({monomial({V: k} if k else {}): c for k, c in self.counts.items()})
 
 
-def tally(n: int) -> Counter[tuple[int, ...]]:
-    """Count the length-n words by their letters in ascending order, in one pass.
+def tally(n: int) -> Counter[int]:
+    """Count the length-n words by their monomials, in one pass.
 
-    A word's key is ``tuple(sorted(word))``: (1, 1, 2) stands for 112 and 121,
-    and ``tally(0)`` is ``{(): 1}``.  Every statistic below reads off this tally.
-    A word's letter counts are one packed int (n.bit_length() bits per letter).
-    Each word of ``enumerate_words(n - t)``, t = min(n, 2), is packed once, and
-    each t-letter ending the Catalan rule allows after its last letter is
-    counted on top of it, so the words are counted in lexicographic order.
+    A word's key is the ``monomial`` key of prod_j v_j^(occurrences of j), so
+    112 and 121 both count under v1^2v2, and ``tally(0)`` is ``{0: 1}``.  Every
+    statistic below reads off this tally.  A product of monomials is the sum of
+    their keys: each word of ``enumerate_words(n - t)``, t = min(n, 3), is keyed
+    once, and each t-letter ending the Catalan rule allows after its last letter
+    is added to that key, so the words are counted in lexicographic order.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    width = n.bit_length()
-    fields = [1 << (width * j) for j in range(n + 2)]  # fields[j] is one letter j
-    t = min(n, 2)
-    # endings[h]: the packed k-letter endings allowed after letter h, k = 0..t
+    fields = [0] + [monomial({letter(j): 1}) for j in range(1, n + 1)]  # fields[j] is v_j
+    t = min(n, 3)
+    # endings[h]: the keys of the k-letter endings allowed after letter h, k = 0..t
     endings = [[0]] * (n + 1)
     for k in range(1, t + 1):
         endings = [
@@ -115,42 +114,37 @@ def tally(n: int) -> Counter[tuple[int, ...]]:
         for end in endings[prefix[-1] if prefix else 0]:
             key = start + end
             counts[key] = get(key, 0) + 1
-    mask = fields[1] - 1
-    return Counter(
-        {
-            tuple(j for j in range(1, n + 1) for _ in range((key >> (width * j)) & mask)): count
-            for key, count in counts.items()
-        }
-    )
+    return Counter(counts)
 
 
-def multiset_of(counts: Mapping[tuple[int, ...], int]) -> Polynomial:
+def multiset_of(counts: Mapping[int, int]) -> Polynomial:
     """The tallied words as a polynomial: sum of prod_j v_j^(occurrences of j)."""
-    return Polynomial(
-        {
-            monomial({letter(j): e for j, e in Counter(key).items()}): count
-            for key, count in counts.items()
-        }
-    )
+    return Polynomial(counts)
 
 
-def histogram_of(counts: Mapping[tuple[int, ...], int], n: int, i: int) -> Histogram:
+def histogram_of(counts: Mapping[int, int], n: int, i: int) -> Histogram:
     """How many of the tallied length-n words hold letter i exactly k times, per k."""
+    if i < 1:
+        raise ValueError(f"letter must be >= 1, got {i}")
+    shift = monomial({letter(i): 1}).bit_length() - 1
+    mask = (monomial({letter(i + 1): 1}) >> shift) - 1  # v_i's exponent field
     hist: Counter[int] = Counter()
     for key, count in counts.items():
-        hist[key.count(i)] += count
+        hist[(key >> shift) & mask] += count
     return Histogram(letter=i, length=n, counts=dict(sorted(hist.items())))
 
 
-def bounded_count_of(counts: Mapping[tuple[int, ...], int], h: int) -> int:
+def bounded_count_of(counts: Mapping[int, int], h: int) -> int:
     """How many of the tallied words have no letter above h."""
-    return sum(count for key, count in counts.items() if max(key, default=0) <= h)
+    if h < 1:
+        raise ValueError(f"max letter must be >= 1, got {h}")
+    # A key holds v_j for some j > h exactly when it reaches the key of v_{h+1}.
+    bound = monomial({letter(h + 1): 1})
+    return sum(count for key, count in counts.items() if key < bound)
 
 
 def letter_histogram(n: int, i: int) -> Histogram:
     """Occurrence histogram of letter i over all length-n words."""
-    if i < 1:
-        raise ValueError(f"letter must be >= 1, got {i}")
     return histogram_of(tally(n), n, i)
 
 
@@ -168,6 +162,4 @@ def monomial_multiset(n: int, num_vars: int) -> Polynomial:
 
 def bounded_count(n: int, h: int) -> int:
     """Number of length-n Catalan words whose letters never exceed h."""
-    if h < 1:
-        raise ValueError(f"max letter must be >= 1, got {h}")
     return bounded_count_of(tally(n), h)

@@ -14,6 +14,7 @@ from catwords.cfrac import (
     PartialQuotient,
     _expand_with_tail,
     _letter_rows,
+    _path_sum,
     bounded_letter_series,
     convergent,
     generic_quotients,
@@ -356,6 +357,21 @@ def test_letter_series_matches_dense_tail_route(i, order):
 
 def test_letter_series_matches_dense_tail_route_at_order_128():
     assert letter_gf_series(5, 128) == letter_series_by_dense_tail(5, 128)
+
+
+def letter_series_by_path_sum(i, order):
+    """Reference route: the Dyck-path sum with letter i weighing V and every
+    other letter through the order weighing 1."""
+    weights = [monomial({V: 1}) if h == i else 0 for h in range(1, order + 1)]
+    return Series(map(Polynomial._raw, _path_sum(weights, order)))
+
+
+@pytest.mark.parametrize(
+    "i, order",
+    [*((i, order) for i in range(1, 14) for order in (0, 1, 5, 13, 30)), (5, 192), (20, 128)],
+)
+def test_letter_series_matches_path_sum_route(i, order):
+    assert letter_gf_series(i, order) == letter_series_by_path_sum(i, order)
 
 
 # -- closed rational forms ----------------------------------------------------------

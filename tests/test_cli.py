@@ -511,8 +511,9 @@ def test_verify_detects_and_reports_mismatch(capsys, monkeypatch):
     import catwords.oracle
 
     tally = catwords.oracle.tally
+    v1 = monomial({letter(1): 1})
     # At n=1 the bounded count for h=1 (every tallied word) reads 999.
-    monkeypatch.setattr(catwords.oracle, "tally", lambda n: {(1,): 999} if n == 1 else tally(n))
+    monkeypatch.setattr(catwords.oracle, "tally", lambda n: {v1: 999} if n == 1 else tally(n))
     assert main(["verify", "--max-length", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL n=1,h=1 bounded count: expected 999, actual 1" in out
@@ -527,7 +528,9 @@ def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
         # v1^2v2 (112, 121) and v1v2^2 (122) trade counts; the word count still holds.
         counts = tally(n)
         if n == 3:
-            counts[(1, 1, 2)], counts[(1, 2, 2)] = counts[(1, 2, 2)], counts[(1, 1, 2)]
+            v1sq_v2 = monomial({letter(1): 2, letter(2): 1})
+            v1_v2sq = monomial({letter(1): 1, letter(2): 2})
+            counts[v1sq_v2], counts[v1_v2sq] = counts[v1_v2sq], counts[v1sq_v2]
         return counts
 
     monkeypatch.setattr(catwords.oracle, "tally", swapped)

@@ -163,24 +163,49 @@ def test_bounded_count():
         bounded_count(3, 0)
 
 
-def test_tally_keys_are_sorted_letters():
-    assert tally(0) == {(): 1}
-    assert tally(1) == {(1,): 1}
+def word_key(word):
+    """The monomial key of one word: prod_j v_j^(occurrences of j)."""
+    return monomial({letter(j): c for j, c in Counter(word).items()})
+
+
+def textbook_tally(n):
+    return Counter(word_key(word) for word in enumerate_words(n))
+
+
+def test_tally_keys_are_monomials():
+    assert tally(0) == {0: 1}
+    assert tally(1) == {monomial({letter(1): 1}): 1}
     # 111 | 112, 121 | 122 | 123
-    assert tally(3) == {(1, 1, 1): 1, (1, 1, 2): 2, (1, 2, 2): 1, (1, 2, 3): 1}
-    with pytest.raises(ValueError):
-        letter_histogram(3, 0)
+    assert tally(3) == {
+        monomial({letter(1): 3}): 1,
+        monomial({letter(1): 2, letter(2): 1}): 2,
+        monomial({letter(1): 1, letter(2): 2}): 1,
+        monomial({letter(1): 1, letter(2): 1, letter(3): 1}): 1,
+    }
     with pytest.raises(ValueError):
         tally(-1)
 
 
+@pytest.mark.parametrize("value", (0, -1))
+def test_readers_reject_letters_and_heights_below_one(value):
+    counts = tally(3)
+    with pytest.raises(ValueError, match=f"^letter must be >= 1, got {value}$"):
+        histogram_of(counts, 3, value)
+    with pytest.raises(ValueError, match=f"^max letter must be >= 1, got {value}$"):
+        bounded_count_of(counts, value)
+    with pytest.raises(ValueError, match=f"^letter must be >= 1, got {value}$"):
+        letter_histogram(3, value)
+    with pytest.raises(ValueError, match=f"^max letter must be >= 1, got {value}$"):
+        bounded_count(3, value)
+
+
 @pytest.mark.parametrize("n", range(14))
 def test_tally_matches_textbook_counter(n):
-    # The tally's packed keys against the textbook tally.  At n = 1, 3 and 7 the
-    # word 1^n fills letter 1's field of n.bit_length() bits to its top.
-    expected = Counter(tuple(sorted(word)) for word in enumerate_words(n))
+    # The tally's keys, each the sum of its letters' keys, against the
+    # textbook tally of one monomial per word.  From n = 3 on every word is an
+    # ending of three letters added to a shorter word's key.
     counts = tally(n)
-    assert type(counts) is Counter and counts == expected
+    assert type(counts) is Counter and counts == textbook_tally(n)
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -196,7 +221,7 @@ def test_tally_counts_the_words_of_one_enumeration(monkeypatch, n):
     monkeypatch.setattr(oracle, "enumerate_words", recorder)
     counts = tally(n)
     assert len(calls) == 1 and calls[0] <= n
-    assert counts == Counter(tuple(sorted(word)) for word in enumerate_words(n))
+    assert counts == textbook_tally(n)
 
 
 # Reference loops: each statistic from its own enumeration pass, as the oracle
