@@ -62,7 +62,6 @@ from .polyring import (
     Series,
     V,
     Z,
-    _json_int,
     exponents,
     letter,
     monomial,
@@ -130,21 +129,6 @@ class LetterGF(namedtuple("LetterGF", "letter numerator denominator")):
         if denominator.constant_term != 1:
             raise ValueError("denominator must have constant term 1")
         return super().__new__(cls, letter, numerator, denominator)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "letter": self.letter,
-            "numerator": self.numerator.to_json_obj(),
-            "denominator": self.denominator.to_json_obj(),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LetterGF":
-        return cls(
-            letter=_json_int(obj["letter"]),
-            numerator=Polynomial.from_json_obj(obj["numerator"]),
-            denominator=Polynomial.from_json_obj(obj["denominator"]),
-        )
 
 
 def generic_quotients(n: int) -> list[PartialQuotient]:

@@ -13,7 +13,8 @@ not pay for them at start-up.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
 when the output file or stdout cannot be written, stdout closed before the
-run included.  A reader that closes stdout early
+run included, and 130 when the run is interrupted (Ctrl-C), which prints one
+line on stderr instead of a traceback.  A reader that closes stdout early
 (``catwords enumerate --length 14 | head``) ends the run quietly with the
 status it would otherwise have had.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import stat
 import sys
 from collections import namedtuple
@@ -31,7 +33,7 @@ from functools import partial
 from itertools import islice
 
 from . import catalan, cfrac, oracle
-from .polyring import Polynomial, _json_int, _plain_series, monomial_str
+from .polyring import Polynomial, _plain_series, monomial_str
 
 FORMATS = ("plain", "json", "csv")
 DEFAULT_VERIFY_LETTERS = (1, 2, 3, 4, 5)
@@ -47,12 +49,11 @@ __all__ = [
 
 
 def _at_least(minimum: int, text: str) -> int:
-    # ASCII decimal digits only, as in the JSON readers: int() would also take
-    # "５", "1_0" and " 3 ".  Argparse names the type function on a ValueError.
-    try:
-        value = _json_int(text, text=True)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}") from None
+    # ASCII decimal digits only: int() would also take "５", "1_0", " 3 " and
+    # "+3".  Argparse names the type function on a ValueError.
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    value = int(text)
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
     return value
@@ -423,35 +424,42 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Descriptor 1 was closed when Python started: fail before any work.
         print(f"catwords: error: cannot write stdout: {os.strerror(errno.EBADF)}", file=sys.stderr)
         return 2
-    status = 0
-    if args.command == "expand":
-        rows = cfrac._letter_rows(args.letter, args.order)
-        chunks: Iterable[str] = _render_series(args.order, rows, args.format)
-    elif args.command == "cfrac":
-        rows = cfrac._expand_with_tail(args.depth, args.tail, args.order, args.generic)
-        chunks = _render_series(args.order, rows, args.format)
-    elif args.command == "rational":
-        chunks = _render_rational(cfrac.rational_form(args.letter), args.format)
-    elif args.command == "enumerate":
-        chunks = _render_enumerate(args.length, args.max_letter, args.histogram_letter, args.format)
-    else:
-        report = run_verify(args.max_length, args.letters)
-        chunks = [render_verify(report, args.format)]
-        status = 0 if report.ok else 1
     try:
-        _write_chunks(chunks, args.output)
-    except OSError as exc:
-        reason = exc.strerror or exc
-        if args.output is not None:
-            print(f"catwords: error: cannot write {args.output}: {reason}", file=sys.stderr)
-            return 2
-        # Point the descriptor at the null device so that the flush at
-        # interpreter exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        # A reader that closed stdout (e.g. `| head`) ends the run quietly.
-        if not isinstance(exc, BrokenPipeError):
-            print(f"catwords: error: cannot write stdout: {reason}", file=sys.stderr)
-            return 2
+        status = 0
+        if args.command == "expand":
+            rows = cfrac._letter_rows(args.letter, args.order)
+            chunks: Iterable[str] = _render_series(args.order, rows, args.format)
+        elif args.command == "cfrac":
+            rows = cfrac._expand_with_tail(args.depth, args.tail, args.order, args.generic)
+            chunks = _render_series(args.order, rows, args.format)
+        elif args.command == "rational":
+            chunks = _render_rational(cfrac.rational_form(args.letter), args.format)
+        elif args.command == "enumerate":
+            chunks = _render_enumerate(
+                args.length, args.max_letter, args.histogram_letter, args.format
+            )
+        else:
+            report = run_verify(args.max_length, args.letters)
+            chunks = [render_verify(report, args.format)]
+            status = 0 if report.ok else 1
+        try:
+            _write_chunks(chunks, args.output)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            if args.output is not None:
+                print(f"catwords: error: cannot write {args.output}: {reason}", file=sys.stderr)
+                return 2
+            # Point the descriptor at the null device so that the flush at
+            # interpreter exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            # A reader that closed stdout (e.g. `| head`) ends the run quietly.
+            if not isinstance(exc, BrokenPipeError):
+                print(f"catwords: error: cannot write stdout: {reason}", file=sys.stderr)
+                return 2
+    except KeyboardInterrupt:
+        # _write_chunks has removed its temporary file: an earlier --output file stays.
+        print("catwords: interrupted", file=sys.stderr)
+        return 130
     return status

@@ -45,7 +45,6 @@ class RecursiveAssignment(ValueError):
 
 _NAMED_SLOTS = {"z": 0, "C": 1, "V": 2}
 _LETTER_NAME = re.compile("v[1-9][0-9]*")
-_DECIMAL = re.compile("-?[0-9]+")
 
 _WIDTH = 32  # bits per slot: one little-endian struct "I" field
 _MASK = (1 << _WIDTH) - 1
@@ -373,38 +372,16 @@ class Polynomial:
     # -- serialization ----------------------------------------------------
 
     def format_json(self, depth: int = 0) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2)`` for a value nested ``depth``
-        levels deep, written straight from the keys.  Coefficient strings,
-        variable names and exponents need no escaping."""
+        """The terms as a JSON array in ``sorted_terms`` order, each ``{"coeff":
+        "<decimal>", "monomial": {"<name>": <exponent>, ...}}`` with the names in
+        slot order, laid out as ``json.dumps(..., indent=2)`` lays out a value
+        ``depth`` levels deep, written straight from the keys (nothing needs escaping)."""
         if not self._terms:
             return "[]"
         pad0, pad1, pad2 = ("\n" + "  " * (depth + i) for i in range(3))
         head = f'{{{pad2}"coeff": "'
         terms = [f"{coeff}{_json_term_tail(depth, key)}" for key, coeff in self.sorted_terms()]
         return f"[{pad1}{head}" + f",{pad1}{head}".join(terms) + f"{pad0}]"
-
-    def to_json_obj(self) -> list:
-        fields = -(-reduce(or_, self._terms, 0).bit_length() // _WIDTH)
-        unpack, size = _reader(fields)
-        names = [_slot_name(slot) for slot in range(fields)]
-        return [
-            {
-                "coeff": str(coeff),
-                "monomial": {
-                    names[slot]: e for slot, e in enumerate(unpack(key.to_bytes(size, "little"))) if e
-                },
-            }
-            for key, coeff in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "Polynomial":
-        acc: dict[int, int] = {}
-        for item in obj:
-            powers = {Variable(name): _json_int(e) for name, e in item["monomial"].items()}
-            key = monomial(powers)
-            acc[key] = acc.get(key, 0) + _json_int(item["coeff"], text=True)
-        return cls(acc)
 
 
 _ZERO = Polynomial._raw({})
@@ -419,13 +396,6 @@ def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> None:
             acc[key] = total
         else:
             acc.pop(key, None)
-
-
-def _json_int(value: object, text: bool = False) -> int:
-    """An int read from JSON; with text set, also a string of ASCII decimal digits."""
-    if type(value) is int or (text and isinstance(value, str) and _DECIMAL.fullmatch(value)):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _as_poly(value: object) -> Polynomial | None:
@@ -490,18 +460,6 @@ class Series:
 
     def __repr__(self) -> str:
         return self.format_plain()
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json_obj() for c in self._coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Series":
-        coeffs = [Polynomial.from_json_obj(item) for item in obj["coeffs"]]
-        if len(coeffs) != _json_int(obj["order"]) + 1:
-            raise ValueError("coefficient count does not match declared order")
-        return cls(coeffs)
 
 
 def _plain_series(coefficients: Iterable[Polynomial]) -> Iterator[str]:

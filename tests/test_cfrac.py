@@ -430,19 +430,9 @@ def test_rational_form_numerators_chain(i):
     assert rational_form(i + 1).numerator == rational_form(i).denominator
 
 
-def test_rational_form_validation_and_json():
+def test_rational_form_validation():
     with pytest.raises(ValueError):
         rational_form(0)
-    form = rational_form(3)
-    assert LetterGF.from_json_obj(form.to_json_obj()) == form
-
-
-@pytest.mark.parametrize("bad", [2.9, 2.0, True, "2"])
-def test_letter_gf_from_json_rejects_inexact_letter(bad):
-    obj = rational_form(2).to_json_obj()
-    obj["letter"] = bad
-    with pytest.raises(ValueError):
-        LetterGF.from_json_obj(obj)
 
 
 def test_rational_form_expands_to_letter_series():

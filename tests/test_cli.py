@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from catwords.cfrac import (
 )
 from catwords.oracle import enumerate_words, format_word
 from catwords.polyring import C, Polynomial, Series, V, Z, letter, monomial
+from json_reference import letter_gf_obj, series_obj
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -262,14 +264,14 @@ def test_cfrac_unweighted_catalan_tail_is_catalan_series():
     assert unweighted_series(6, TAIL_CATALAN, 8) == catalan_series(8)
 
 
-# -- JSON round trips --------------------------------------------------------------
+# -- JSON against the reference objects ------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 24))
 def test_expand_json_parses_back_to_letter_series(letter_index, order):
     obj = json.loads(stdout_of(f"expand --letter {letter_index} --order {order} --format json"))
-    assert Series.from_json_obj(obj) == letter_gf_series(letter_index, order)
+    assert obj == series_obj(letter_gf_series(letter_index, order))
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,14 +280,24 @@ def test_cfrac_json_parses_back_to_series(depth, tail, order, generic):
     command = f"cfrac --depth {depth} --tail {tail} --order {order} --format json"
     obj = json.loads(stdout_of(command + " --generic" * generic))
     expand = gf_full if generic else unweighted_series
-    assert Series.from_json_obj(obj) == expand(depth, tail, order)
+    assert obj == series_obj(expand(depth, tail, order))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 20))
 def test_rational_json_parses_back_to_letter_gf(letter_index):
     obj = json.loads(stdout_of(f"rational --letter {letter_index} --format json"))
-    assert LetterGF.from_json_obj(obj) == rational_form(letter_index)
+    assert obj == letter_gf_obj(rational_form(letter_index))
+
+
+def test_series_json_document():
+    series = Series([1, -Polynomial.var(letter(1)) - Polynomial.var(letter(2)), 0, 0])
+    text = "".join(catwords.cli._render_series(series.order, series.coefficients, "json"))
+    v1, v2 = ({"coeff": "-1", "monomial": {name: 1}} for name in ("v1", "v2"))
+    assert json.loads(text) == {
+        "order": 3,
+        "coeffs": [[{"coeff": "1", "monomial": {}}], [v1, v2], [], []],
+    }
 
 
 # -- streamed renderers ------------------------------------------------------------
@@ -350,7 +362,7 @@ def test_series_renderers_match_reference(series):
     def render(series, fmt):
         return catwords.cli._render_series(series.order, series.coefficients, fmt)
 
-    assert "".join(render(series, "json")) == json.dumps(series.to_json_obj(), indent=2) + "\n"
+    assert "".join(render(series, "json")) == json.dumps(series_obj(series), indent=2) + "\n"
     assert "".join(render(series, "plain")) == series.format_plain() + "\n"
     rows = [[n, c.format_plain(ascending=True)] for n, c in enumerate(series.coefficients)]
     assert list(render(series, "csv")) == csv_lines([["n", "coefficient"], *rows])
@@ -384,7 +396,7 @@ def test_series_render_pulls_one_coefficient_per_chunk():
 @examples(map(rational_form, range(1, 12)))
 def test_rational_renderers_match_reference(form):
     render = catwords.cli._render_rational
-    assert "".join(render(form, "json")) == json.dumps(form.to_json_obj(), indent=2) + "\n"
+    assert "".join(render(form, "json")) == json.dumps(letter_gf_obj(form), indent=2) + "\n"
     rows = [
         ["numerator", form.numerator.format_plain()],
         ["denominator", form.denominator.format_plain()],
@@ -581,6 +593,7 @@ def test_verify_failure_names_first_differing_monomial(capsys, monkeypatch):
         ["verify", "--max-length", "3\n"],
         ["expand", "--letter", "5", "--order", "5", "--format", "xml"],
         ["expand", "--letter", "5", "--order", "5", "--output", ""],
+        ["enumerate", "--length", "\u0663"],  # Arabic-Indic digit three
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -703,6 +716,66 @@ def test_failed_output_leaves_previous_file(tmp_path, monkeypatch):
         main(["enumerate", "--length", "3", "--output", str(target)])
     assert target.read_text() == "old\n"
     assert sorted(tmp_path.iterdir()) == [target]
+
+
+def interrupted_main(argv):
+    """main(argv), where a KeyboardInterrupt that escapes fails this test
+    instead of stopping the whole test run."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_interrupted_stream_exits_130(tmp_path, monkeypatch, capsys, to_file):
+    def interrupted_stream(*args):
+        yield "partial\n"
+        raise KeyboardInterrupt
+
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    monkeypatch.setattr(catwords.cli, "_render_enumerate", interrupted_stream)
+    output = ["--output", str(target)] * to_file
+    assert interrupted_main(["enumerate", "--length", "3", *output]) == 130
+    assert capsys.readouterr() == ("" if to_file else "partial\n", "catwords: interrupted\n")
+    # The earlier file stays, and no temporary file is left beside it.
+    assert target.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_interrupted_verify_exits_130(monkeypatch, capsys):
+    # verify computes every check before it writes anything.
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(catwords.cli, "run_verify", interrupted)
+    assert interrupted_main(["verify", "--max-length", "3"]) == 130
+    assert capsys.readouterr() == ("", "catwords: interrupted\n")
+
+
+def test_sigint_ends_a_run_with_one_line():
+    # Like Ctrl-C during `catwords enumerate --length 16`, which runs for
+    # minutes.  Its first line shows that the command has started, with
+    # Python's SIGINT handler in place, so the signal cannot come too early.
+    # A runner that ignores SIGINT passes that on to its children, so the
+    # child restores the default before Python starts.
+    with subprocess.Popen(
+        [sys.executable, "-u", "-m", "catwords", "enumerate", "--length", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # does nothing once the child has exited
+    assert first == b"1" * 16 + b"\n"
+    assert stderr == b"catwords: interrupted\n"
+    assert proc.returncode == 130
 
 
 def test_output_replaces_file_and_writes_through_pipes(tmp_path):

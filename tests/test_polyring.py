@@ -265,27 +265,16 @@ def test_series_validation():
 # -- JSON ---------------------------------------------------------------------
 
 
-def test_polynomial_json_roundtrip_and_order():
+def test_polynomial_json_order():
     p = ONE - z * Vp * Cp - 2 * z + z**2 * Vp * Cp
-    obj = p.to_json_obj()
+    obj = json.loads(p.format_json())
     assert obj[0] == {"coeff": "1", "monomial": {}}
     assert obj[1] == {"coeff": "-1", "monomial": {"z": 1, "C": 1, "V": 1}}
+    assert list(obj[1]["monomial"]) == ["z", "C", "V"]
     assert obj[2] == {"coeff": "-2", "monomial": {"z": 1}}
-    assert Polynomial.from_json_obj(obj) == p
     # coefficients serialize as decimal strings even when huge
     big = Polynomial.constant(16796**5)
-    assert big.to_json_obj()[0]["coeff"] == str(16796**5)
-    assert Polynomial.from_json_obj(big.to_json_obj()) == big
-
-
-def test_series_json_roundtrip():
-    s = series_from_poly(ONE - z * vp(1) - z * vp(2), 3)
-    obj = s.to_json_obj()
-    assert obj["order"] == 3
-    assert Series.from_json_obj(obj) == s
-    assert Series.from_json_obj(json.loads(json.dumps(obj))) == s
-    with pytest.raises(ValueError):
-        Series.from_json_obj({"order": 5, "coeffs": [[]]})
+    assert json.loads(big.format_json()) == [{"coeff": str(16796**5), "monomial": {}}]
 
 
 # -- properties ---------------------------------------------------------------
@@ -364,24 +353,6 @@ def test_variable_names_must_be_ascii():
     assert Variable("v12") == letter(12)
 
 
-def test_from_json_rejects_inexact_numbers():
-    for bad in (
-        [{"coeff": 2.9, "monomial": {"z": 1.9}}],
-        [{"coeff": 2, "monomial": {"z": 1.9}}],
-        [{"coeff": 2.0, "monomial": {"z": 1}}],
-        [{"coeff": True, "monomial": {}}],
-        [{"coeff": "2", "monomial": {"V": True}}],
-        [{"coeff": "2.5", "monomial": {}}],
-        [{"coeff": "\u0663", "monomial": {}}],
-    ):
-        with pytest.raises(ValueError):
-            Polynomial.from_json_obj(bad)
-    with pytest.raises(ValueError):
-        Series.from_json_obj({"order": 0.5, "coeffs": [[]]})
-    obj = [{"coeff": 3, "monomial": {"z": 2}}, {"coeff": "-12", "monomial": {"V": 1}}]
-    assert Polynomial.from_json_obj(obj) == 3 * z**2 - 12 * Vp
-
-
 # The term order and display order as they were defined before variables had
 # slots: each variable has a sort rank and a display rank, and a term key
 # compares (rank, -exponent) pairs ended by a sentinel ranked after them all.
@@ -425,7 +396,7 @@ def test_slot_order_and_display_match_reference(maps):
         assert monomial_str(key) == reference_display(powers)
         assert repr(Polynomial({key: 1})) == reference_display(powers)
         names = [v.name for v, _ in sorted(powers.items(), key=lambda i: reference_ranks(i[0]))]
-        assert list(Polynomial({key: 1}).to_json_obj()[0]["monomial"]) == names
+        assert list(json.loads(Polynomial({key: 1}).format_json())[0]["monomial"]) == names
         assert tuple(exponents(key).items()) == tuple(sorted(powers.items()))
 
 
@@ -461,7 +432,7 @@ def test_exponent_limit_raises_and_never_wraps():
     top = 2**31 - 1
     edge = Polynomial({monomial({V: top}): 1})
     assert [exponents(key) for key, _ in edge.sorted_terms()] == [{V: top}]
-    assert Polynomial.from_json_obj(edge.to_json_obj()) == edge
+    assert json.loads(edge.format_json()) == [{"coeff": "1", "monomial": {"V": top}}]
     with pytest.raises(OverflowError):
         edge * Vp
     half = Polynomial({monomial({V: 2**30, letter(1): 1}): 1})
@@ -471,8 +442,6 @@ def test_exponent_limit_raises_and_never_wraps():
         half.specialize({letter(1): Polynomial({monomial({V: 2**30}): 1})})
     with pytest.raises(OverflowError):
         monomial({V: 2**31})
-    with pytest.raises(OverflowError):
-        Polynomial.from_json_obj([{"coeff": "1", "monomial": {"V": 2**31}}])
     with pytest.raises(OverflowError):
         Polynomial({monomial({V: top}) + monomial({V: 1}): 1})
 
