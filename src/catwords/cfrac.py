@@ -28,25 +28,25 @@ with k_{-2} = h_{-1} = 0.
 
 The closed form of letter i takes the quotients z below depth i and z*V*C at
 depth i, where the Catalan series C stands for the whole fraction beneath.
-One run of the recurrences through depth i - 1 gives P, Q, R = k_{i-1},
-k_{i-2}, k_{i-3}, and the convergent is
+One run of the recurrences through depth i - 1 gives P, Q = k_{i-1}, k_{i-2},
+and R = k_{i-3} satisfies z*R = Q - P, so the convergent is
 
-    N/D = (Q - z*V*C*R) / (P - z*V*C*Q),
+    N/D = (Q - z*V*C*R) / (P - z*V*C*Q) = (Q - V*C*(Q - P)) / (P - z*V*C*Q),
 
 the closed form of ``rational_form``.  C satisfies z*C^2 - C + 1 = 0, so C
 and its conjugate C' satisfy C + C' = C*C' = 1/z.  Multiplying N and D by
 D' = P - z*V*C'*Q gives N/D = (A + B*C)/E with
 
-    A = Q*P - V*Q^2 + z*V^2*R*Q
+    A = Q*P - V*Q^2 + z*V^2*R*Q = Q*P - V*Q^2 + V^2*(Q^2 - Q*P)
     B = z*V*(Q^2 - R*P) = V*z^i
     E = P^2 - V*P*Q + z*V^2*Q^2
 
-where B is a single monomial by the determinant identity Q^2 - R*P = z^(i-1).
-A and E have z-degree about equal to the letter, so the series is A plus V
-times the Catalan numbers shifted by i, followed by a long division by E that
-takes deg_z(E) terms per step.  E(0) = 1 - V is not a unit, but every
-coefficient of the quotient lies in Z[V], so each step divides exactly by
-1 - V.
+where B is a single monomial by the determinant identity Q^2 - R*P = z^(i-1),
+and A and E take only the three products Q*P, Q^2 and P^2.  A and E have
+z-degree about equal to the letter, so the series is A plus V times the
+Catalan numbers shifted by i, followed by a long division by E that takes
+deg_z(E) terms per step.  E(0) = 1 - V is not a unit, but every coefficient of
+the quotient lies in Z[V], so each step divides exactly by 1 - V.
 """
 
 from __future__ import annotations
@@ -215,17 +215,17 @@ def rational_form(letter_index: int) -> LetterGF:
     The convergent depth equals the letter: quotients below it are z, the
     final quotient is z*V, and the tail symbol C absorbs everything deeper.
     """
-    p, q, r = _letter_parts(letter_index)
-    zvc = _Z * _V * _C
-    return LetterGF(letter_index, q - zvc * r, p - zvc * q)
+    p, q = _letter_parts(letter_index)
+    vc = _V * _C
+    return LetterGF(letter_index, q - vc * (q - p), p - _Z * vc * q)
 
 
-def _letter_parts(letter_index: int) -> tuple[Polynomial, ...]:
-    """P, Q, R = k_{i-1}, k_{i-2}, k_{i-3} of the all-z recurrence, for letter i."""
+def _letter_parts(letter_index: int) -> tuple[Polynomial, Polynomial]:
+    """P, Q = k_{i-1}, k_{i-2} of the all-z recurrence, for letter i."""
     if letter_index < 1:
         raise ValueError(f"letter must be >= 1, got {letter_index}")
-    r, q, _, p = _run_recurrences([_Z] * (letter_index - 1))  # h_j = k_{j-1}
-    return p, q, r
+    _, _, q, p = _run_recurrences([_Z] * (letter_index - 1))
+    return p, q
 
 
 # The per-letter series keeps its V-polynomials as dense lists of ints indexed
@@ -283,10 +283,10 @@ def _letter_rows(letter_index: int, order: int) -> Iterator[Polynomial]:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
         return iter(catalan_series(order).coefficients)
-    p, q, r = _letter_parts(letter_index)
-    zvv = _Z * _V * _V
-    a = _v_rows(q * p - _V * q * q + zvv * r * q)
-    e = _v_rows(p * p - _V * p * q + zvv * q * q)
+    p, q = _letter_parts(letter_index)
+    qp, qq, vv = q * p, q * q, _V * _V
+    a = _v_rows(qp - _V * qq + vv * (qq - qp))
+    e = _v_rows(p * p - _V * qp + _Z * vv * qq)
     if not e or e[0] != [1, -1]:
         raise ArithmeticError("expected E(0) = 1 - V")
     return _divide_rows(a, e, letter_index, order)

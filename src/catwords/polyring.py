@@ -1,32 +1,31 @@
 """Exact sparse arithmetic: multivariate integer polynomials and truncated power series.
 
 Coefficients are Python ints, so nothing ever rounds.  The variables are the
-series marker ``z``, the standalone symbols ``V`` and ``C``, and the indexed
-letter variables ``v1, v2, ...``, with fixed slots z = 0, C = 1, V = 2 and
-v_i = 2 + i.  A monomial is one int, its key, with the exponent of slot s in
-bits 32*s .. 32*s + 31: z^2*V*v1 is 2 + (1 << 64) + (1 << 96), the unit is 0,
-and a product of monomials is the sum of their keys.  Exponents stay below
-2^31, so the top bit of every field is clear and two keys add without a carry
-between fields; a product whose exponent reaches 2^31 raises OverflowError
-instead of wrapping.  ``monomial`` builds a key, ``exponents`` reads it back
-and ``monomial_str`` prints it.  Terms are sorted and serialized in slot
-order; printed monomials use the display order z, V, v1, v2, ..., C.  Every
-operation returns a canonical form (no zero coefficients) in one term order,
-so output is deterministic.  A series product takes two series.
+series marker ``Z``, the standalone symbols ``V`` and ``C``, and the letter
+variables ``letter(i)`` = v_i, made by slot: z = 0, C = 1, V = 2, v_i = 2 + i.
+A monomial is one int, its key, with the exponent of slot s in bits 32*s ..
+32*s + 31: z^2*V*v1 is 2 + (1 << 64) + (1 << 96), the unit is 0, and a
+product of monomials is the sum of their keys.  Exponents stay below 2^31, so
+the top bit of every field is clear and two keys add without a carry between
+fields; a product whose exponent reaches 2^31 raises OverflowError instead of
+wrapping.  ``monomial`` builds a key, ``exponents`` reads it back and
+``monomial_str`` prints it.  Variables are not ordered: terms are sorted and
+serialized by key, in slot order, and printed monomials use the display order
+z, V, v1, v2, ..., C.  Every operation returns a canonical form (no zero
+coefficients) in one term order, so output is deterministic.  A series
+product takes two series.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 from collections.abc import Iterable, Iterator, Mapping
-from functools import lru_cache, reduce, total_ordering
+from functools import lru_cache, reduce
 from operator import or_
 
 __all__ = [
     "C",
     "Polynomial",
-    "RecursiveAssignment",
     "Series",
     "V",
     "Variable",
@@ -39,13 +38,6 @@ __all__ = [
 ]
 
 
-class RecursiveAssignment(ValueError):
-    """A substitution value mentions a variable that is itself being substituted."""
-
-
-_NAMED_SLOTS = {"z": 0, "C": 1, "V": 2}
-_LETTER_NAME = re.compile("v[1-9][0-9]*")
-
 _WIDTH = 32  # bits per slot: one little-endian struct "I" field
 _MASK = (1 << _WIDTH) - 1
 _GUARD = 1 << (_WIDTH - 1)  # the bit no stored exponent may reach
@@ -55,32 +47,23 @@ def _slot_name(slot: int) -> str:
     return "zCV"[slot] if slot < 3 else f"v{slot - 2}"
 
 
-@total_ordering
 class Variable:
     """A formal variable with a fixed slot: z = 0, C = 1, V = 2, v_i = 2 + i.
 
-    Variables are totally ordered by slot, z < C < V < v1 < v2 < ..., and
-    that order fixes how monomials are sorted and serialized.  Inside a
-    printed monomial the factors appear in display order instead (z first,
-    then V, then v1, v2, ..., then C), which is how these generating
-    functions are conventionally written.
+    Made by slot, as ``Z``, ``C``, ``V`` and ``letter(i)``, and equal and
+    hashed by slot; variables are not ordered.  The slots lay out the packed
+    keys, so terms are sorted and serialized in slot order (z, C, V, v1, v2,
+    ...).  Inside a printed monomial the factors appear in display order
+    instead (z first, then V, then v1, v2, ..., then C), which is how these
+    generating functions are conventionally written.
     """
 
     __slots__ = ("slot",)
 
-    def __init__(self, name: str) -> None:
-        slot = _NAMED_SLOTS.get(name)
-        if slot is None:
-            if not _LETTER_NAME.fullmatch(name):
-                raise ValueError(f"invalid variable name: {name!r}")
-            slot = 2 + int(name[1:])
+    def __init__(self, slot: int) -> None:
+        if type(slot) is not int or slot < 0:
+            raise ValueError(f"variable slot must be an int >= 0, got {slot!r}")
         self.slot = slot
-
-    @classmethod
-    def _at(cls, slot: int) -> "Variable":
-        var = object.__new__(cls)
-        var.slot = slot
-        return var
 
     @property
     def name(self) -> str:
@@ -89,9 +72,6 @@ class Variable:
     def __eq__(self, other: object) -> bool:
         return self.slot == other.slot if other.__class__ is self.__class__ else NotImplemented
 
-    def __lt__(self, other: Variable) -> bool:
-        return self.slot < other.slot if other.__class__ is self.__class__ else NotImplemented
-
     def __hash__(self) -> int:
         return hash(self.slot)
 
@@ -99,16 +79,18 @@ class Variable:
         return self.name
 
 
-Z = Variable("z")
-V = Variable("V")
-C = Variable("C")
+Z = Variable(0)
+C = Variable(1)
+V = Variable(2)
 
 
 def letter(i: int) -> Variable:
-    """The variable v_i marking occurrences of letter i (i >= 1)."""
+    """The variable v_i marking occurrences of letter i (an int i >= 1)."""
+    if type(i) is not int:
+        raise ValueError(f"letter index must be an int, got {i!r}")
     if i < 1:
         raise ValueError(f"letter index must be >= 1, got {i}")
-    return Variable._at(2 + i)
+    return Variable(2 + i)
 
 
 def monomial(powers: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()) -> int:
@@ -138,7 +120,7 @@ def _slots(key: int) -> tuple[int, ...]:
 
 def exponents(key: int) -> dict[Variable, int]:
     """The powers of a key's monomial, in slot order: the inverse of ``monomial``."""
-    return {Variable._at(slot): e for slot, e in enumerate(_slots(key)) if e}
+    return {Variable(slot): e for slot, e in enumerate(_slots(key)) if e}
 
 
 @lru_cache(maxsize=1024)  # bounded: the keys of a multivariate series rarely repeat
@@ -307,25 +289,18 @@ class Polynomial:
     def specialize(self, assignment: Mapping[Variable, Polynomial | int]) -> "Polynomial":
         """Simultaneously replace assigned variables by polynomial values.
 
-        No value may mention a variable that is itself assigned (raises
-        RecursiveAssignment), so the result does not depend on any ordering.
+        Each value is substituted into the original terms, so a value may
+        mention assigned variables: {v1: v2, v2: v1} swaps v1 and v2.
         Unassigned variables pass through unchanged.
         """
         if not assignment:
             return self
-        keyed = set(assignment)
         values: dict[int, Polynomial] = {}
         for var, val in assignment.items():
             poly = _as_poly(val)
             if poly is None:
                 raise TypeError(f"assignment for {var} must be a Polynomial or int")
             values[var.slot] = poly
-            clash = exponents(reduce(or_, poly._terms, 0)).keys() & keyed
-            if clash:
-                names = ", ".join(sorted(v.name for v in clash))
-                raise RecursiveAssignment(
-                    f"value for {var.name} mentions assigned variable(s): {names}"
-                )
         assigned = sum(_MASK << (_WIDTH * slot) for slot in values)  # the assigned fields
         acc: dict[int, int] = {}
         for key, coeff in self._terms.items():

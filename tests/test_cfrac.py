@@ -104,20 +104,12 @@ def test_determinant_identity(depth):
     assert upper.h * lower.k - lower.h * upper.k == product
 
 
-def shift_letters_up(poly, highest):
-    # v_j -> v_{j+1}, applied from the highest index down so no single-step
-    # assignment mentions a variable substituted in a later step.
-    for j in range(highest, 0, -1):
-        poly = poly.specialize({letter(j): vp(j + 1)})
-    return poly
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_numerator_is_shifted_previous_denominator(n):
     quotients = generic_quotients(n)
     h_n = convergent(n, quotients).h
     k_prev = convergent(n - 1, quotients).k
-    assert h_n == shift_letters_up(k_prev, n)
+    assert h_n == k_prev.specialize({letter(j): vp(j + 1) for j in range(1, n)})
 
 
 # -- full multivariate expansion -------------------------------------------------

@@ -119,6 +119,13 @@ OUTPUT_SHA256 = {
     "rational --letter 4": (
         "275885df0c32d8c96868e66a199206fbe6de607217c46c5c90ec737f0e9d0a54"
     ),
+    # The closed form at letters beyond the render families below.
+    "expand --letter 13 --order 256 --format csv": (
+        "d2be388b11637ba68f5f884e526d8e1c3799b88ce76b3412d9e22050ac2d97b7"
+    ),
+    "rational --letter 40 --format json": (
+        "c8de7df9c298a32c5abc17de6d360d4e5bd5b8bf6923f754110a3d1bb95f8e5a"
+    ),
     # Length 10 holds the first dotted word, 1.2.3.4.5.6.7.8.9.10.
     "enumerate --length 10": (
         "28d04d772c7436720de2895c55e0a960d1bc131508e3e6d7ab50c0354a4cd2ee"
