@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .polyring import Polynomial, Series, series_mul
+from .polyring import Polynomial, Series, _check_int, series_mul
 
 __all__ = [
     "catalan_numbers",
@@ -18,8 +18,7 @@ def catalan_numbers(order: int) -> list[int]:
     The division is exact at every step, so the whole computation stays in
     integers.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_int("order", order, 0)
     values = [1]
     for n in range(order):
         quotient, remainder = divmod(values[-1] * 2 * (2 * n + 1), n + 2)
@@ -43,6 +42,5 @@ def functional_equation_holds(series: Series) -> bool:
 
 def check_functional_equation(order: int) -> bool:
     """Whether the Catalan series satisfies its defining identity through ``order``."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_int("order", order, 1)
     return functional_equation_holds(catalan_series(order))

@@ -62,6 +62,7 @@ from .polyring import (
     Series,
     V,
     Z,
+    _check_int,
     exponents,
     letter,
     monomial,
@@ -102,8 +103,7 @@ class PartialQuotient(namedtuple("PartialQuotient", "index value")):
     __slots__ = ()
 
     def __new__(cls, index: int, value: Polynomial) -> PartialQuotient:
-        if index < 1:
-            raise ValueError(f"quotient index must be >= 1, got {index}")
+        _check_int("quotient index", index, 1)
         return super().__new__(cls, index, value)
 
 
@@ -124,8 +124,7 @@ class LetterGF(namedtuple("LetterGF", "letter numerator denominator")):
     __slots__ = ()
 
     def __new__(cls, letter: int, numerator: Polynomial, denominator: Polynomial) -> LetterGF:
-        if letter < 1:
-            raise ValueError(f"letter must be >= 1, got {letter}")
+        _check_int("letter", letter, 1)
         if denominator.constant_term != 1:
             raise ValueError("denominator must have constant term 1")
         return super().__new__(cls, letter, numerator, denominator)
@@ -133,6 +132,7 @@ class LetterGF(namedtuple("LetterGF", "letter numerator denominator")):
 
 def generic_quotients(n: int) -> list[PartialQuotient]:
     """Partial quotients z*v_1, ..., z*v_n: every letter is tracked separately."""
+    _check_int("n", n, 0)
     return [PartialQuotient(i, _Z * Polynomial.var(letter(i))) for i in range(1, n + 1)]
 
 
@@ -148,8 +148,7 @@ def _run_recurrences(values: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 
 def convergent(depth: int, quotients: Sequence[PartialQuotient]) -> Convergent:
     """The plain convergent h_depth / k_depth."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_int("depth", depth, 0)
     if len(quotients) < depth:
         raise InsufficientQuotients(f"need {depth} quotients, got {len(quotients)}")
     _, h, _, k = _run_recurrences([q.value for q in quotients[:depth]])
@@ -179,10 +178,8 @@ def _expand_with_tail(
     """The z^0..z^order coefficients of the path sum under the given tail, each
     computed as it is taken; letter h <= depth weighs v_h when generic, else 1.
     The inputs are checked at the call."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_int("depth", depth, 1)
+    _check_int("order", order, 0)
     if tail_mode not in (TAIL_ONE, TAIL_CATALAN):
         raise ValueError(f"unknown tail mode: {tail_mode!r}")
     # A word of length at most the order never uses a letter above the order,
@@ -222,8 +219,7 @@ def rational_form(letter_index: int) -> LetterGF:
 
 def _letter_parts(letter_index: int) -> tuple[Polynomial, Polynomial]:
     """P, Q = k_{i-1}, k_{i-2} of the all-z recurrence, for letter i."""
-    if letter_index < 1:
-        raise ValueError(f"letter must be >= 1, got {letter_index}")
+    _check_int("letter", letter_index, 1)
     _, _, q, p = _run_recurrences([_Z] * (letter_index - 1))
     return p, q
 
@@ -277,8 +273,8 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
 def _letter_rows(letter_index: int, order: int) -> Iterator[Polynomial]:
     """The z^0..z^order coefficients of ``letter_gf_series``, each computed as
     it is taken.  The inputs are checked, and the closed form built, at the call."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_int("order", order, 0)
+    _check_int("letter", letter_index, 1)
     if letter_index > order:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
@@ -316,6 +312,5 @@ def _divide_rows(
 
 def bounded_letter_series(max_letter: int, order: int) -> Series:
     """Counting series for Catalan words whose letters never exceed max_letter."""
-    if max_letter < 1:
-        raise ValueError(f"max_letter must be >= 1, got {max_letter}")
+    _check_int("max_letter", max_letter, 1)
     return unweighted_series(max_letter, TAIL_ONE, order)

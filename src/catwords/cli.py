@@ -33,7 +33,7 @@ from functools import partial
 from itertools import islice
 
 from . import catalan, cfrac, oracle
-from .polyring import Polynomial, _plain_series, monomial_str
+from .polyring import Polynomial, _check_int, _plain_series, monomial_str
 
 FORMATS = ("plain", "json", "csv")
 DEFAULT_VERIFY_LETTERS = (1, 2, 3, 4, 5)
@@ -211,8 +211,7 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
     bounded series.  Then the determinant identity of the convergents is
     checked symbolically through depth min(max_length, 10).
     """
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
+    _check_int("max_length", max_length, 1)
     tracked = sorted(set(letters)) if letters else list(DEFAULT_VERIFY_LETTERS)
 
     checks: list[Check] = []

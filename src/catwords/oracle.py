@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 
-from .polyring import Polynomial, V, letter, monomial
+from .polyring import Polynomial, V, _check_int, letter, monomial
 
 __all__ = [
     "Histogram",
@@ -49,10 +49,9 @@ def enumerate_words(n: int, max_letter: int | None = None) -> Iterator[tuple[int
     With ``max_letter`` set, words containing a larger letter are skipped.
     The word count is the n-th Catalan number when unbounded.
     """
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
-    if max_letter is not None and max_letter < 1:
-        raise ValueError(f"max_letter must be >= 1, got {max_letter}")
+    _check_int("length", n, 0)
+    if max_letter is not None:
+        _check_int("max_letter", max_letter, 1)
     top = max_letter or n
     word, ones = [1] * n, [1] * n
     while True:
@@ -96,8 +95,7 @@ def tally(n: int) -> Counter[int]:
     once, and each t-letter ending the Catalan rule allows after its last letter
     is added to that key, so the words are counted in lexicographic order.
     """
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
+    _check_int("length", n, 0)
     fields = [0] + [monomial({letter(j): 1}) for j in range(1, n + 1)]  # fields[j] is v_j
     t = min(n, 3)
     # endings[h]: the keys of the k-letter endings allowed after letter h, k = 0..t
@@ -124,8 +122,7 @@ def multiset_of(counts: Mapping[int, int]) -> Polynomial:
 
 def histogram_of(counts: Mapping[int, int], n: int, i: int) -> Histogram:
     """How many of the tallied length-n words hold letter i exactly k times, per k."""
-    if i < 1:
-        raise ValueError(f"letter must be >= 1, got {i}")
+    _check_int("letter", i, 1)
     shift = monomial({letter(i): 1}).bit_length() - 1
     mask = (monomial({letter(i + 1): 1}) >> shift) - 1  # v_i's exponent field
     hist: Counter[int] = Counter()
@@ -136,8 +133,7 @@ def histogram_of(counts: Mapping[int, int], n: int, i: int) -> Histogram:
 
 def bounded_count_of(counts: Mapping[int, int], h: int) -> int:
     """How many of the tallied words have no letter above h."""
-    if h < 1:
-        raise ValueError(f"max letter must be >= 1, got {h}")
+    _check_int("max letter", h, 1)
     # A key holds v_j for some j > h exactly when it reaches the key of v_{h+1}.
     bound = monomial({letter(h + 1): 1})
     return sum(count for key, count in counts.items() if key < bound)
@@ -155,6 +151,8 @@ def monomial_multiset(n: int, num_vars: int) -> Polynomial:
     coefficient of its multivariate expansion.  num_vars must be at least n
     so that no occurring letter escapes tracking.
     """
+    _check_int("length", n, 0)
+    _check_int("num_vars", num_vars, 0)
     if num_vars < n:
         raise UnderTracked(f"need at least {n} tracked variables, got {num_vars}")
     return multiset_of(tally(n))

@@ -43,6 +43,14 @@ _MASK = (1 << _WIDTH) - 1
 _GUARD = 1 << (_WIDTH - 1)  # the bit no stored exponent may reach
 
 
+def _check_int(name: str, value: object, minimum: int) -> None:
+    """Raise ValueError unless value is an int (a bool is not) of at least minimum."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _slot_name(slot: int) -> str:
     return "zCV"[slot] if slot < 3 else f"v{slot - 2}"
 
@@ -61,8 +69,7 @@ class Variable:
     __slots__ = ("slot",)
 
     def __init__(self, slot: int) -> None:
-        if type(slot) is not int or slot < 0:
-            raise ValueError(f"variable slot must be an int >= 0, got {slot!r}")
+        _check_int("variable slot", slot, 0)
         self.slot = slot
 
     @property
@@ -86,10 +93,7 @@ V = Variable(2)
 
 def letter(i: int) -> Variable:
     """The variable v_i marking occurrences of letter i (an int i >= 1)."""
-    if type(i) is not int:
-        raise ValueError(f"letter index must be an int, got {i!r}")
-    if i < 1:
-        raise ValueError(f"letter index must be >= 1, got {i}")
+    _check_int("letter index", i, 1)
     return Variable(2 + i)
 
 
@@ -279,8 +283,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
+        _check_int("exponent", exponent, 0)
         result = _ONE
         for _ in range(exponent):
             result = result * self

@@ -154,7 +154,7 @@ def test_record_validation_messages(build, message):
         build()
 
 
-def test_variable_orders_and_hashes_by_slot():
+def test_variable_equals_and_hashes_by_slot():
     v3, also_v3 = Variable(5), letter(3)
     assert v3 == also_v3 and hash(v3) == hash(also_v3) and len({v3, also_v3, V, C}) == 3
     assert v3.name == "v3" and v3 != V and v3 != "v3" and v3 != 5
@@ -162,3 +162,65 @@ def test_variable_orders_and_hashes_by_slot():
         v3.extra = 1
     with pytest.raises(ValueError, match=r"^letter index must be >= 1, got 0$"):
         letter(0)
+
+
+# -- integer arguments ---------------------------------------------------------
+
+# (id, call with the argument under test, the name its messages give).  Every
+# count, index, length, order and depth is checked by one rule: an int (a bool
+# is not) of at least a minimum.
+INT_ARGUMENTS = [
+    ("catalan_numbers", catalan.catalan_numbers, "order"),
+    ("catalan_series", catalan.catalan_series, "order"),
+    ("check_functional_equation", catalan.check_functional_equation, "order"),
+    ("PartialQuotient", lambda x: PartialQuotient(x, z), "quotient index"),
+    ("LetterGF", lambda x: LetterGF(x, ONE, ONE), "letter"),
+    ("convergent", lambda x: cfrac.convergent(x, cfrac.generic_quotients(3)), "depth"),
+    ("generic_quotients", cfrac.generic_quotients, "n"),
+    ("gf_full-depth", lambda x: cfrac.gf_full(x, "catalan", 2), "depth"),
+    ("gf_full-order", lambda x: cfrac.gf_full(2, "catalan", x), "order"),
+    ("unweighted_series-depth", lambda x: cfrac.unweighted_series(x, "one", 2), "depth"),
+    ("unweighted_series-order", lambda x: cfrac.unweighted_series(2, "one", x), "order"),
+    # At order 0 every letter takes the Catalan shortcut, which must check it too.
+    ("letter_gf_series-shortcut", lambda x: cfrac.letter_gf_series(x, 0), "letter"),
+    ("letter_gf_series-letter", lambda x: cfrac.letter_gf_series(x, 5), "letter"),
+    ("letter_gf_series-order", lambda x: cfrac.letter_gf_series(5, x), "order"),
+    ("rational_form", cfrac.rational_form, "letter"),
+    ("bounded_letter_series-max_letter", lambda x: cfrac.bounded_letter_series(x, 3), "max_letter"),
+    ("bounded_letter_series-order", lambda x: cfrac.bounded_letter_series(2, x), "order"),
+    ("enumerate_words-length", lambda x: list(oracle.enumerate_words(x)), "length"),
+    # A float bound must not let a word with a letter above it through.
+    ("enumerate_words-max_letter", lambda x: list(oracle.enumerate_words(3, x)), "max_letter"),
+    ("tally", oracle.tally, "length"),
+    ("histogram_of", lambda x: oracle.histogram_of(oracle.tally(3), 3, x), "letter"),
+    # The message names this argument, not the letter h + 1 derived from it.
+    ("bounded_count_of", lambda x: oracle.bounded_count_of(oracle.tally(4), x), "max letter"),
+    ("letter_histogram-length", lambda x: oracle.letter_histogram(x, 1), "length"),
+    ("letter_histogram-letter", lambda x: oracle.letter_histogram(3, x), "letter"),
+    ("bounded_count-length", lambda x: oracle.bounded_count(x, 2), "length"),
+    ("bounded_count-max_letter", lambda x: oracle.bounded_count(4, x), "max letter"),
+    ("monomial_multiset-length", lambda x: oracle.monomial_multiset(x, 4), "length"),
+    ("monomial_multiset-num_vars", lambda x: oracle.monomial_multiset(3, x), "num_vars"),
+    ("run_verify", cli.run_verify, "max_length"),
+    ("letter", letter, "letter index"),
+    ("Variable", Variable, "variable slot"),
+    ("Polynomial.__pow__", lambda x: z**x, "exponent"),
+]
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize(
+    "call, name", [case[1:] for case in INT_ARGUMENTS], ids=[case[0] for case in INT_ARGUMENTS]
+)
+def test_integer_arguments_reject_a_non_int(call, name, bad):
+    message = f"{name} must be an int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_quotient_and_variable_counts_below_zero():
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        cfrac.generic_quotients(-1)
+    assert cfrac.generic_quotients(0) == []
+    with pytest.raises(ValueError, match=r"^num_vars must be >= 0, got -1$"):
+        oracle.monomial_multiset(0, -1)

@@ -51,8 +51,10 @@ def test_variable_names():
     assert Variable(9) == letter(7)
     with pytest.raises(ValueError, match=r"^letter index must be >= 1, got 0$"):
         letter(0)
-    for bad in (-1, 1.5, True, "3"):
-        message = f"variable slot must be an int >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=r"^variable slot must be >= 0, got -1$"):
+        Variable(-1)
+    for bad in (1.5, True, "3"):
+        message = f"variable slot must be an int, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Variable(bad)
 
