@@ -42,11 +42,18 @@ D' = P - z*V*C'*Q gives N/D = (A + B*C)/E with
     E = P^2 - V*P*Q + z*V^2*Q^2
 
 where B is a single monomial by the determinant identity Q^2 - R*P = z^(i-1),
-and A and E take only the three products Q*P, Q^2 and P^2.  A and E have
-z-degree about equal to the letter, so the series is A plus V times the
-Catalan numbers shifted by i, followed by a long division by E that takes
-deg_z(E) terms per step.  E(0) = 1 - V is not a unit, but every coefficient of
-the quotient lies in Z[V], so each step divides exactly by 1 - V.
+and A and E take only the three products Q*P, Q^2 and P^2, polynomials in z
+alone.  With QP_n, QQ_n and PP_n their z^n coefficients, the z^n rows of A
+and E in powers V^0, V^1, V^2 are
+
+    A_n = [QP_n, -QQ_n, QQ_n - QP_n],    E_n = [PP_n, -QP_n, QQ_{n-1}].
+
+P and Q have z-degrees ceil((i-1)/2) and ceil((i-2)/2), so Q*P has z-degree
+i - 1, Q^2 at most i - 1 and P^2 at most i: A has z-degree i - 1 and E exactly
+i.  The series is A plus V times the Catalan numbers shifted by i, followed by
+a long division by E that takes i terms per step.  E(0) = 1 - V is not a unit,
+but every coefficient of the quotient lies in Z[V], so each step divides
+exactly by 1 - V.
 """
 
 from __future__ import annotations
@@ -55,18 +62,8 @@ from collections import deque, namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .catalan import catalan_numbers, catalan_series
-from .polyring import (
-    C,
-    Polynomial,
-    Series,
-    V,
-    Z,
-    _check_int,
-    exponents,
-    letter,
-    monomial,
-)
+from .catalan import catalan_numbers
+from .polyring import C, Polynomial, Series, V, Z, _check_int, letter, monomial
 
 __all__ = [
     "Convergent",
@@ -113,6 +110,7 @@ class Convergent(namedtuple("Convergent", "depth h k")):
     __slots__ = ()
 
     def __new__(cls, depth: int, h: Polynomial, k: Polynomial) -> Convergent:
+        _check_int("depth", depth, 0)
         if k.constant_term != 1:
             raise ValueError("convergent denominator must have constant term 1")
         return super().__new__(cls, depth, h, k)
@@ -225,20 +223,8 @@ def _letter_parts(letter_index: int) -> tuple[Polynomial, Polynomial]:
 
 
 # The per-letter series keeps its V-polynomials as dense lists of ints indexed
-# by the power of V, with no trailing zeros (the zero polynomial is []).
-
-
-def _v_rows(p: Polynomial) -> list[list[int]]:
-    """Dense V-coefficients of p, one row per power of z; p is in Z[z, V]."""
-    rows: list[list[int]] = []
-    for key, coeff in p.sorted_terms():
-        powers = exponents(key)
-        zdeg = powers.get(Z, 0)
-        vdeg = powers.get(V, 0)
-        rows.extend([] for _ in range(zdeg + 1 - len(rows)))
-        rows[zdeg].extend([0] * (vdeg + 1 - len(rows[zdeg])))
-        rows[zdeg][vdeg] = coeff
-    return rows
+# by the power of V.  A series row has no trailing zeros (the zero polynomial is
+# []); a row of A or E always has three entries.
 
 
 def _subtract_product(acc: list[int], p: list[int], q: list[int]) -> None:
@@ -278,12 +264,13 @@ def _letter_rows(letter_index: int, order: int) -> Iterator[Polynomial]:
     if letter_index > order:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
-        return iter(catalan_series(order).coefficients)
+        return map(Polynomial.constant, catalan_numbers(order))
     p, q = _letter_parts(letter_index)
-    qp, qq, vv = q * p, q * q, _V * _V
-    a = _v_rows(qp - _V * qq + vv * (qq - qp))
-    e = _v_rows(p * p - _V * qp + _Z * vv * qq)
-    if not e or e[0] != [1, -1]:
+    # The products are in z alone and the key of z^n is n, so qq(-1) is 0.
+    qp, qq, pp = (product.coefficient for product in (q * p, q * q, p * p))
+    a = [[qp(n), -qq(n), qq(n) - qp(n)] for n in range(letter_index + 1)]
+    e = [[pp(n), -qp(n), qq(n - 1)] for n in range(letter_index + 1)]
+    if e[0] != [1, -1, 0]:
         raise ArithmeticError("expected E(0) = 1 - V")
     return _divide_rows(a, e, letter_index, order)
 

@@ -212,6 +212,8 @@ def run_verify(max_length: int, letters: Sequence[int] | None = None) -> VerifyR
     checked symbolically through depth min(max_length, 10).
     """
     _check_int("max_length", max_length, 1)
+    for i in letters or ():
+        _check_int("letter", i, 1)
     tracked = sorted(set(letters)) if letters else list(DEFAULT_VERIFY_LETTERS)
 
     checks: list[Check] = []

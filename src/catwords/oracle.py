@@ -47,25 +47,30 @@ def enumerate_words(n: int, max_letter: int | None = None) -> Iterator[tuple[int
     """Yield every Catalan word of length n exactly once, in lexicographic order.
 
     With ``max_letter`` set, words containing a larger letter are skipped.
-    The word count is the n-th Catalan number when unbounded.
+    The word count is the n-th Catalan number when unbounded.  The arguments
+    are checked at the call; the words are made as they are taken.
     """
     _check_int("length", n, 0)
     if max_letter is not None:
         _check_int("max_letter", max_letter, 1)
-    top = max_letter or n
-    word, ones = [1] * n, [1] * n
-    while True:
-        yield tuple(word)
-        # The successor bumps the rightmost letter that may still grow (to at
-        # most one above its left neighbour, and not past top) and resets every
-        # letter after it to 1.
-        i = n - 1
-        while i > 0 and (word[i] > word[i - 1] or word[i] >= top):
-            i -= 1
-        if i <= 0:
-            return
-        word[i] += 1
-        word[i + 1 :] = ones[i + 1 :]
+
+    # n and top are passed in, so the loop reads them as locals, not closure cells.
+    def successors(n: int, top: int) -> Iterator[tuple[int, ...]]:
+        word, ones = [1] * n, [1] * n
+        while True:
+            yield tuple(word)
+            # The successor bumps the rightmost letter that may still grow (to
+            # at most one above its left neighbour, and not past top) and
+            # resets every letter after it to 1.
+            i = n - 1
+            while i > 0 and (word[i] > word[i - 1] or word[i] >= top):
+                i -= 1
+            if i <= 0:
+                return
+            word[i] += 1
+            word[i + 1 :] = ones[i + 1 :]
+
+    return successors(n, max_letter or n)
 
 
 def format_word(word: tuple[int, ...]) -> str:
@@ -79,6 +84,11 @@ class Histogram(namedtuple("Histogram", "letter length counts")):
     """How many length-n words contain the tracked letter exactly k times, per k; k ascends."""
 
     __slots__ = ()
+
+    def __new__(cls, letter: int, length: int, counts: dict[int, int]) -> Histogram:
+        _check_int("letter", letter, 1)
+        _check_int("length", length, 0)
+        return super().__new__(cls, letter, length, counts)
 
     def as_polynomial(self) -> Polynomial:
         """The histogram encoded as a polynomial in V: sum of counts[k] * V^k."""

@@ -12,7 +12,9 @@ from catwords.cfrac import (
     InsufficientQuotients,
     LetterGF,
     PartialQuotient,
+    _divide_one_minus_v,
     _expand_with_tail,
+    _letter_parts,
     _letter_rows,
     _path_sum,
     bounded_letter_series,
@@ -364,6 +366,31 @@ def letter_series_by_path_sum(i, order):
 )
 def test_letter_series_matches_path_sum_route(i, order):
     assert letter_gf_series(i, order) == letter_series_by_path_sum(i, order)
+
+
+def test_letter_products_fit_the_rows_read_off_them():
+    # _letter_rows reads rows 0..i of A and E off Q*P, Q^2 and P^2, taking each
+    # key for a z-degree: a term of V, C or a higher power of z would be lost.
+    for i in range(1, 65):
+        p, q = _letter_parts(i)
+        qp, qq, pp = (max(dict((x * y).sorted_terms())) for x, y in ((q, p), (q, q), (p, p)))
+        assert qp == i - 1 and qq < i and pp <= i
+        assert max(pp, qq + 1) == i  # E = P^2 - V*Q*P + z*V^2*Q^2 has z-degree i
+
+
+def test_exactness_guards_raise(monkeypatch):
+    import catwords.cfrac
+
+    with pytest.raises(ArithmeticError, match=r"^division by 1 - V leaves a remainder$"):
+        _divide_one_minus_v([1])
+
+    def doubled_p(i):
+        p, q = _letter_parts(i)
+        return p + 1, q  # P(0) = 2, so E(0) = 4 - 2V
+
+    monkeypatch.setattr(catwords.cfrac, "_letter_parts", doubled_p)
+    with pytest.raises(ArithmeticError, match=r"^expected E\(0\) = 1 - V$"):
+        _letter_rows(3, 5)
 
 
 # -- closed rational forms ----------------------------------------------------------

@@ -126,6 +126,10 @@ OUTPUT_SHA256 = {
     "rational --letter 40 --format json": (
         "c8de7df9c298a32c5abc17de6d360d4e5bd5b8bf6923f754110a3d1bb95f8e5a"
     ),
+    # An even letter, whose E takes its top z-degree from P^2, deep in the division.
+    "expand --letter 40 --order 300": (
+        "8ba51d27951d061f5683c40e87f933c605554bf465db4e627009eb1caeded5f3"
+    ),
     # Length 10 holds the first dotted word, 1.2.3.4.5.6.7.8.9.10.
     "enumerate --length 10": (
         "28d04d772c7436720de2895c55e0a960d1bc131508e3e6d7ab50c0354a4cd2ee"

@@ -144,9 +144,12 @@ def test_check_at_defaults_to_empty():
     "build, message",
     [
         (lambda: PartialQuotient(0, z), "quotient index must be >= 1, got 0"),
+        (lambda: Convergent(-1, ONE, ONE), "depth must be >= 0, got -1"),
         (lambda: Convergent(1, ONE, z + 2), "convergent denominator must have constant term 1"),
         (lambda: LetterGF(0, ONE, ONE), "letter must be >= 1, got 0"),
         (lambda: LetterGF(1, ONE, 2 - z), "denominator must have constant term 1"),
+        (lambda: Histogram(-2, 3, {}), "letter must be >= 1, got -2"),
+        (lambda: Histogram(1, -1, {}), "length must be >= 0, got -1"),
     ],
 )
 def test_record_validation_messages(build, message):
@@ -174,6 +177,7 @@ INT_ARGUMENTS = [
     ("catalan_series", catalan.catalan_series, "order"),
     ("check_functional_equation", catalan.check_functional_equation, "order"),
     ("PartialQuotient", lambda x: PartialQuotient(x, z), "quotient index"),
+    ("Convergent", lambda x: Convergent(x, ONE, ONE), "depth"),
     ("LetterGF", lambda x: LetterGF(x, ONE, ONE), "letter"),
     ("convergent", lambda x: cfrac.convergent(x, cfrac.generic_quotients(3)), "depth"),
     ("generic_quotients", cfrac.generic_quotients, "n"),
@@ -188,11 +192,15 @@ INT_ARGUMENTS = [
     ("rational_form", cfrac.rational_form, "letter"),
     ("bounded_letter_series-max_letter", lambda x: cfrac.bounded_letter_series(x, 3), "max_letter"),
     ("bounded_letter_series-order", lambda x: cfrac.bounded_letter_series(2, x), "order"),
-    ("enumerate_words-length", lambda x: list(oracle.enumerate_words(x)), "length"),
+    # Checked at the call, not at the first word taken.
+    ("enumerate_words-length", oracle.enumerate_words, "length"),
     # A float bound must not let a word with a letter above it through.
-    ("enumerate_words-max_letter", lambda x: list(oracle.enumerate_words(3, x)), "max_letter"),
+    ("enumerate_words-max_letter", lambda x: oracle.enumerate_words(3, x), "max_letter"),
     ("tally", oracle.tally, "length"),
     ("histogram_of", lambda x: oracle.histogram_of(oracle.tally(3), 3, x), "letter"),
+    ("histogram_of-length", lambda x: oracle.histogram_of(oracle.tally(3), x, 1), "length"),
+    ("Histogram-letter", lambda x: Histogram(x, 3, {}), "letter"),
+    ("Histogram-length", lambda x: Histogram(1, x, {}), "length"),
     # The message names this argument, not the letter h + 1 derived from it.
     ("bounded_count_of", lambda x: oracle.bounded_count_of(oracle.tally(4), x), "max letter"),
     ("letter_histogram-length", lambda x: oracle.letter_histogram(x, 1), "length"),
@@ -202,6 +210,7 @@ INT_ARGUMENTS = [
     ("monomial_multiset-length", lambda x: oracle.monomial_multiset(x, 4), "length"),
     ("monomial_multiset-num_vars", lambda x: oracle.monomial_multiset(3, x), "num_vars"),
     ("run_verify", cli.run_verify, "max_length"),
+    ("run_verify-letters", lambda x: cli.run_verify(3, [x]), "letter"),
     ("letter", letter, "letter index"),
     ("Variable", Variable, "variable slot"),
     ("Polynomial.__pow__", lambda x: z**x, "exponent"),
@@ -224,3 +233,13 @@ def test_quotient_and_variable_counts_below_zero():
     assert cfrac.generic_quotients(0) == []
     with pytest.raises(ValueError, match=r"^num_vars must be >= 0, got -1$"):
         oracle.monomial_multiset(0, -1)
+
+
+def test_run_verify_checks_every_letter_before_any_series(monkeypatch):
+    def expanded(*args):
+        raise AssertionError("a series was built before the letters were checked")
+
+    monkeypatch.setattr(cfrac, "gf_full", expanded)
+    monkeypatch.setattr(cfrac, "letter_gf_series", expanded)
+    with pytest.raises(ValueError, match=r"^letter must be >= 1, got 0$"):
+        cli.run_verify(11, [3, 0])
