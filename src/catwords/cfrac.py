@@ -53,7 +53,14 @@ i - 1, Q^2 at most i - 1 and P^2 at most i: A has z-degree i - 1 and E exactly
 i.  The series is A plus V times the Catalan numbers shifted by i, followed by
 a long division by E that takes i terms per step.  E(0) = 1 - V is not a unit,
 but every coefficient of the quotient lies in Z[V], so each step divides
-exactly by 1 - V.
+exactly by 1 - V.  At V = 1, E = P^2 - P*Q + z*Q^2 = z*(Q^2 - R*P) = z^i by
+the same identity, so for 0 < j < i the row E_j vanishes at V = 1 and is
+(1 - V)*(E_j[0] - E_j[2]*V).  With F_n the z^n row of the series, a step is
+
+    F_n = (A_n + V*C_{n-i} - E_i*F_{n-i}) / (1 - V)
+          - sum_{0<j<i} (E_j[0] - E_j[2]*V) * F_{n-j},
+
+two products with each earlier row where the plain long division takes three.
 """
 
 from __future__ import annotations
@@ -222,12 +229,12 @@ def _letter_parts(letter_index: int) -> tuple[Polynomial, Polynomial]:
     return p, q
 
 
-# The per-letter series keeps its V-polynomials as dense lists of ints indexed
-# by the power of V.  A series row has no trailing zeros (the zero polynomial is
-# []); a row of A or E always has three entries.
+# The per-letter series keeps its V-polynomials dense, as sequences of ints
+# indexed by the power of V.  A row of A or E is a list of three entries; a
+# series row is a tuple with no trailing zeros (the zero polynomial is ()).
 
 
-def _subtract_product(acc: list[int], p: list[int], q: list[int]) -> None:
+def _subtract_product(acc: list[int], p: Sequence[int], q: Sequence[int]) -> None:
     """acc -= p * q, in place (acc may be left with trailing zeros)."""
     acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
     for i, a in enumerate(p):
@@ -253,18 +260,21 @@ def letter_gf_series(letter_index: int, order: int) -> Series:
     Computed as (A + B*C)/E from the conjugate-rationalized closed form (see
     the module docstring), in O(order * letter) V-polynomial operations.
     """
-    return Series(_letter_rows(letter_index, order))
+    rows = _letter_rows(letter_index, order)
+    v = monomial({V: 1})  # a product of monomials adds their keys, so V^k has k*v
+    return Series(Polynomial._raw({k * v: c for k, c in enumerate(row) if c}) for row in rows)
 
 
-def _letter_rows(letter_index: int, order: int) -> Iterator[Polynomial]:
-    """The z^0..z^order coefficients of ``letter_gf_series``, each computed as
-    it is taken.  The inputs are checked, and the closed form built, at the call."""
+def _letter_rows(letter_index: int, order: int) -> Iterator[tuple[int, ...]]:
+    """The z^0..z^order coefficients of ``letter_gf_series`` as dense V-rows,
+    each computed as it is taken.  The inputs are checked, and the closed form
+    built, at the call."""
     _check_int("order", order, 0)
     _check_int("letter", letter_index, 1)
     if letter_index > order:
         # A word of length at most the order never uses a larger letter, so
         # every coefficient is the constant C_n; the closed form is not built.
-        return map(Polynomial.constant, catalan_numbers(order))
+        return zip(catalan_numbers(order))  # the 1-tuples (C_n,)
     p, q = _letter_parts(letter_index)
     # The products are in z alone and the key of z^n is n, so qq(-1) is 0.
     qp, qq, pp = (product.coefficient for product in (q * p, q * q, p * p))
@@ -272,29 +282,34 @@ def _letter_rows(letter_index: int, order: int) -> Iterator[Polynomial]:
     e = [[pp(n), -qp(n), qq(n - 1)] for n in range(letter_index + 1)]
     if e[0] != [1, -1, 0]:
         raise ArithmeticError("expected E(0) = 1 - V")
+    if [sum(row) for row in e] != [0] * letter_index + [1]:
+        raise ArithmeticError("expected E(z, 1) = z^i")
     return _divide_rows(a, e, letter_index, order)
 
 
 def _divide_rows(
     a: list[list[int]], e: list[list[int]], letter_index: int, order: int
-) -> Iterator[Polynomial]:
-    """The rows of (A + V*z^i*C)/E through the order, each yielded once final;
-    only the last deg_z(E) rows are kept."""
+) -> Iterator[tuple[int, ...]]:
+    """The rows of (A + V*z^i*C)/E through the order, each yielded once final,
+    by the step in the module docstring.  The last i rows are kept for the
+    division, as tuples, so that a caller cannot change what it reads next."""
     catalan = catalan_numbers(order)
-    monomials = [monomial()]  # the key of V^k, shared by every row
-    recent: deque[list[int]] = deque(maxlen=len(e) - 1)  # series rows n-1, n-2, ...
+    factors = [[row[0], -row[2]] for row in e]  # E_j / (1 - V), for 0 < j < i
+    recent: deque[tuple[int, ...]] = deque(maxlen=letter_index)  # rows n-1, n-2, ...
     for n in range(order + 1):
         acc = list(a[n]) if n < len(a) else []
         if n >= letter_index:  # B*C with B = V*z^i adds C_{n-i} to the V coefficient
             acc.extend([0] * (2 - len(acc)))
             acc[1] += catalan[n - letter_index]
-        for j in range(1, min(n + 1, len(e))):
-            _subtract_product(acc, e[j], recent[-j])
+            _subtract_product(acc, e[letter_index], recent[0])  # recent[0] is row n - i
         row = _divide_one_minus_v(acc)
+        for j in range(1, min(n + 1, letter_index)):
+            _subtract_product(row, factors[j], recent[-j])
+        while row and not row[-1]:
+            row.pop()
+        row = tuple(row)
         recent.append(row)
-        while len(monomials) < len(row):
-            monomials.append(monomial({V: len(monomials)}))
-        yield Polynomial._raw({monomials[k]: c for k, c in enumerate(row) if c})
+        yield row
 
 
 def bounded_letter_series(max_letter: int, order: int) -> Series:

@@ -3,13 +3,15 @@
 ``expand`` and ``cfrac`` take each coefficient from the recurrence that
 computes it and write it before the next is computed, so memory holds a few
 coefficients at a time, never the whole series or the whole output;
-``rational`` writes one part at a time.  A JSON polynomial is written
-straight from its packed keys (``Polynomial.format_json``) in the layout that
-``json.dumps(..., indent=2)`` gives.  A letter above the expansion order costs
-nothing: no word that short uses it, so ``expand`` prints the Catalan numbers
-without building the letter's closed form.  ``json``, ``csv`` and
-``tempfile`` are imported only on the paths that use them, so a command does
-not pay for them at start-up.
+``rational`` writes one part at a time.  ``expand`` writes the letter series
+straight from the division's dense rows of V-coefficients, with the text of
+each power of V from a table; ``cfrac`` and ``rational`` write each
+polynomial from its packed keys (``Polynomial.format_json`` and
+``format_plain``).  JSON takes the layout that ``json.dumps(..., indent=2)``
+gives.  A letter above the expansion order costs nothing: no word that short
+uses it, so ``expand`` prints the Catalan numbers without building the
+letter's closed form.  ``json``, ``csv`` and ``tempfile`` are imported only on
+the paths that use them, so a command does not pay for them at start-up.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors and
 when the output file or stdout cannot be written, stdout closed before the
@@ -28,12 +30,13 @@ import re
 import stat
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import islice
+from operator import methodcaller
 
 from . import catalan, cfrac, oracle
-from .polyring import Polynomial, _check_int, _plain_series, monomial_str
+from .polyring import Polynomial, _check_int, _plain_series, _v_row_text, monomial_str
 
 FORMATS = ("plain", "json", "csv")
 DEFAULT_VERIFY_LETTERS = (1, 2, 3, 4, 5)
@@ -96,24 +99,35 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "".join(_csv_rows(header, rows))
 
 
-def _render_series(order: int, coefficients: Iterable[Polynomial], fmt: str) -> Iterator[str]:
+def _render_series(
+    order: int, coefficients: Iterable, fmt: str, text: Callable[..., str] | None = None
+) -> Iterator[str]:
     """The rendered series, one chunk per coefficient, each coefficient taken
-    from the iterable only when its chunk is rendered."""
+    from the iterable only when its chunk is rendered.  text(coefficient) is
+    the coefficient as written: its ``format_json(2)`` in JSON, else its
+    ``format_plain(ascending=True)``; by default the coefficients are Polynomials."""
+    if text is None:
+        as_json = fmt == "json"
+        text = methodcaller("format_json", 2) if as_json else methodcaller("format_plain", True)
+    # Each chunk replaces its coefficient, so that no other copy of it is held
+    # while it is written and the next coefficient is computed.
     if fmt == "plain":
-        yield from _plain_series(coefficients)
+        yield from _plain_series(coefficients, text)
         yield "\n"
     elif fmt == "json":
         yield f'{{\n  "order": {order},\n  "coeffs": ['
         separator = "\n    "
         for coeff in coefficients:
-            yield separator + coeff.format_json(2)
+            coeff = separator + text(coeff)
+            yield coeff
             separator = ",\n    "
         yield "\n  ]\n}\n"
     else:
         # A plain polynomial holds no comma, quote or newline: no field needs quoting.
         yield "n,coefficient\n"
         for n, coeff in enumerate(coefficients):
-            yield f"{n},{coeff.format_plain(ascending=True)}\n"
+            coeff = f"{n},{text(coeff)}\n"
+            yield coeff
 
 
 def _render_rational(form: cfrac.LetterGF, fmt: str) -> Iterator[str]:
@@ -429,7 +443,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = 0
         if args.command == "expand":
             rows = cfrac._letter_rows(args.letter, args.order)
-            chunks: Iterable[str] = _render_series(args.order, rows, args.format)
+            text = _v_row_text(args.format == "json")
+            chunks: Iterable[str] = _render_series(args.order, rows, args.format, text)
         elif args.command == "cfrac":
             rows = cfrac._expand_with_tail(args.depth, args.tail, args.order, args.generic)
             chunks = _render_series(args.order, rows, args.format)

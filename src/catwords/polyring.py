@@ -19,9 +19,9 @@ product takes two series.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
-from operator import or_
+from operator import methodcaller, or_
 
 __all__ = [
     "C",
@@ -159,6 +159,19 @@ def _json_names(fields: int, depth: int) -> tuple[str, ...]:
     """Per slot, the separator and name that open its field in ``_json_term_tail``."""
     pad3 = "\n" + "  " * (depth + 3)
     return tuple(f',{pad3}"{_slot_name(slot)}": ' for slot in range(fields))
+
+
+def _json_array(depth: int, terms: list[str]) -> str:
+    """The array of ``Polynomial.format_json(depth)`` around its terms' texts, each
+    a coefficient's digits followed by the ``_json_term_tail`` of its key.  The
+    list is used up: framing its end terms in place saves two copies of the text."""
+    if not terms:
+        return "[]"
+    pad0, pad1, pad2 = ("\n" + "  " * (depth + i) for i in range(3))
+    head = f'{{{pad2}"coeff": "'
+    terms[0] = f"[{pad1}{head}{terms[0]}"
+    terms[-1] += f"{pad0}]"
+    return f",{pad1}{head}".join(terms)
 
 
 def _check_guards(keys: Iterable[int]) -> None:
@@ -354,12 +367,8 @@ class Polynomial:
         "<decimal>", "monomial": {"<name>": <exponent>, ...}}`` with the names in
         slot order, laid out as ``json.dumps(..., indent=2)`` lays out a value
         ``depth`` levels deep, written straight from the keys (nothing needs escaping)."""
-        if not self._terms:
-            return "[]"
-        pad0, pad1, pad2 = ("\n" + "  " * (depth + i) for i in range(3))
-        head = f'{{{pad2}"coeff": "'
         terms = [f"{coeff}{_json_term_tail(depth, key)}" for key, coeff in self.sorted_terms()]
-        return f"[{pad1}{head}" + f",{pad1}{head}".join(terms) + f"{pad0}]"
+        return _json_array(depth, terms)
 
 
 _ZERO = Polynomial._raw({})
@@ -434,30 +443,67 @@ class Series:
 
     def format_plain(self) -> str:
         """Rendering such as ``1 + z + 2 z^2 + (41+V) z^5`` (zero terms skipped)."""
-        return "".join(_plain_series(self._coeffs))
+        return "".join(_plain_series(self._coeffs, methodcaller("format_plain", True)))
 
     def __repr__(self) -> str:
         return self.format_plain()
 
 
-def _plain_series(coefficients: Iterable[Polynomial]) -> Iterator[str]:
-    """``Series.format_plain`` of these coefficients in pieces, one per nonzero
-    coefficient (``1``, `` + z``, ...), each formatted as it is taken."""
+def _plain_series(coefficients: Iterable, text: Callable[..., str]) -> Iterator[str]:
+    """``Series.format_plain`` in pieces, one per nonzero coefficient (``1``,
+    `` + z``, ...), each taken as it is needed; text(coefficient) is its
+    ``format_plain(ascending=True)``."""
     separator = ""
     for n, coeff in enumerate(coefficients):
-        if coeff.is_zero():
+        # The text replaces the coefficient, and the piece its text, so that one
+        # copy is held while the piece is written and the next text is made.
+        coeff = text(coeff)
+        if coeff == "0":
             continue
-        text = coeff.format_plain(ascending=True)
-        wrapped = f"({text})" if len(coeff) > 1 or text.startswith("-") else text
-        if n == 0:
-            term = wrapped
+        zpow = "" if n == 0 else " z" if n == 1 else f" z^{n}"
+        # Only a sum of terms or a negative term holds a sign: no monomial does.
+        if "+" in coeff or "-" in coeff:
+            coeff = f"{separator}({coeff}){zpow}"
+        elif coeff == "1" and zpow:
+            coeff = separator + zpow[1:]
         else:
-            zpow = "z" if n == 1 else f"z^{n}"
-            term = zpow if coeff.is_one() else f"{wrapped} {zpow}"
-        yield separator + term
+            coeff = f"{separator}{coeff}{zpow}"
+        yield coeff
         separator = " + "
     if not separator:
         yield "0"
+
+
+def _v_row_text(as_json: bool) -> Callable[[Sequence[int]], str]:
+    """The text of a dense V-row, a sequence of ints indexed by the power of V,
+    as the Polynomial with those coefficients gives it: ``format_json(2)`` when
+    as_json, else ``format_plain(ascending=True)``.  JSON lists the powers from
+    high to low, as ``sorted_terms`` orders keys in V alone; plain text lists
+    them from low to high.  No key is built or decoded for a term: the text of
+    each power comes from a table that grows with the rows."""
+    v = monomial({V: 1})  # a product of monomials adds their keys, so V^k has k*v
+    after: list[str] = []  # by k, the text that follows the coefficient of V^k
+    # The table holds each text once: the key-text caches are bypassed.
+    tail, name = _json_term_tail.__wrapped__, monomial_str.__wrapped__
+
+    def text(row: Sequence[int]) -> str:
+        for k in range(len(after), len(row)):
+            key = k * v
+            after.append(tail(2, key) if as_json else name(key) if k else "")
+        if as_json:
+            terms = [f"{c}{t}" for c, t in zip(reversed(row), reversed(after[: len(row)])) if c]
+            return _json_array(2, terms)
+        # A coefficient of 1 or -1 is written as its sign alone, but on V^0.
+        terms = [
+            f"{'+' if c > 0 else '-'}{t}"
+            if c in (1, -1) and t
+            else f"+{c}{t}" if c > 0 else f"{c}{t}"
+            for c, t in zip(row, after)
+            if c
+        ]
+        return "".join(terms).removeprefix("+") or "0"
+
+    return text
 
 
 def series_mul(a: Series, b: Series) -> Series:

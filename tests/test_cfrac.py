@@ -285,15 +285,26 @@ def test_letter_series_validation(letter_index, order, message):
     assert str(excinfo.value) == message
 
 
+def v_series(rows):
+    """The Series of dense V-rows, built through the public constructors."""
+    return Series(
+        Polynomial({monomial({V: k} if k else {}): c for k, c in enumerate(row)}) for row in rows
+    )
+
+
 def test_letter_rows_are_final_when_yielded():
     # The CLI writes each row as it comes, so the rows through n must be the
-    # series of order n, whatever order the generator runs to.
+    # series of order n, whatever order the generator runs to.  A row is a
+    # tuple, which no caller can change under the division that reads it
+    # again, and it has no trailing zeros.
     for i in range(1, 9):
         rows = list(_letter_rows(i, 20))
+        assert all(type(row) is tuple and row[-1] for row in rows)
         for n in range(21):
-            assert letter_gf_series(i, n) == Series(rows[: n + 1])
+            assert letter_gf_series(i, n) == v_series(rows[: n + 1])
     for i, n in ((21, 20), (9, 0), (10**6, 5)):
-        assert letter_gf_series(i, n) == Series(_letter_rows(i, n)) == catalan_series(n)
+        assert list(_letter_rows(i, n)) == [(c,) for c in catalan_numbers(n)]
+        assert letter_gf_series(i, n) == catalan_series(n)
 
 
 @pytest.mark.parametrize("i", range(1, 7))
@@ -390,6 +401,14 @@ def test_exactness_guards_raise(monkeypatch):
 
     monkeypatch.setattr(catwords.cfrac, "_letter_parts", doubled_p)
     with pytest.raises(ArithmeticError, match=r"^expected E\(0\) = 1 - V$"):
+        _letter_rows(3, 5)
+
+    def shifted_p(i):
+        p, q = _letter_parts(i)
+        return p + z, q  # E(0) is still 1 - V, but Q^2 - R*P is no longer z^(i-1)
+
+    monkeypatch.setattr(catwords.cfrac, "_letter_parts", shifted_p)
+    with pytest.raises(ArithmeticError, match=r"^expected E\(z, 1\) = z\^i$"):
         _letter_rows(3, 5)
 
 

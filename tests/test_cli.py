@@ -20,6 +20,7 @@ import catwords
 import catwords.cli
 from catwords.cli import FORMATS, build_parser, main, render_verify, run_verify
 from catwords.catalan import catalan_numbers, catalan_series
+from catwords import cfrac
 from catwords.cfrac import (
     TAIL_CATALAN,
     TAIL_ONE,
@@ -31,7 +32,7 @@ from catwords.cfrac import (
     unweighted_series,
 )
 from catwords.oracle import enumerate_words, format_word
-from catwords.polyring import C, Polynomial, Series, V, Z, letter, monomial
+from catwords.polyring import C, Polynomial, Series, V, Z, _v_row_text, letter, monomial
 from json_reference import letter_gf_obj, series_obj
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -109,6 +110,16 @@ OUTPUT_SHA256 = {
     ),
     "expand --letter 5 --order 192 --format json": (
         "8333a3333e277c89006228ecb75c73eb4971c24706d2c69696c0f409d4df1ed8"
+    ),
+    "expand --letter 5 --order 192": (
+        "e80cba0f511d00719bc40c92271d3df34b12c29051070920cf2cf2e1b066d528"
+    ),
+    "expand --letter 5 --order 192 --format csv": (
+        "726d06ad70f866764a0fe027bacaaed2e84193c755ee1263fe6c66238b3fa10e"
+    ),
+    # A letter above the order: the Catalan numbers, without the closed form.
+    "expand --letter 300 --order 200 --format json": (
+        "4aa269fadfea902555d7f7d3bd36776d0c26e195b3606e0204cdcc5520f7da0d"
     ),
     "rational --letter 7 --format json": (
         "7e9b863d6af0f4b284336bf27312d57071bfd02aed197a660db78523b1c9399a"
@@ -399,6 +410,49 @@ def test_series_render_pulls_one_coefficient_per_chunk():
         text = "".join(head) + "".join(chunks)
         assert pulled == series.order + 1
         assert text == "".join(catwords.cli._render_series(series.order, series.coefficients, fmt))
+
+
+def test_expand_matches_polynomial_route():
+    # expand writes each dense V-row straight to text; the old route builds the
+    # Polynomial of each row and renders it through format_json or format_plain.
+    # The rows through n are those of order n, so one run to order 64 serves
+    # every order; the command itself runs at i - 1, i, i + 1 and 64.
+    render = catwords.cli._render_series
+    for i in [*range(1, 14), 20, 40]:
+        rows = list(cfrac._letter_rows(i, 64))
+        for order in range(65):
+            coefficients = letter_gf_series(i, order).coefficients
+            for fmt in FORMATS:
+                expected = "".join(render(order, coefficients, fmt))
+                text = _v_row_text(fmt == "json")
+                assert "".join(render(order, rows[: order + 1], fmt, text)) == expected
+                if order in (i - 1, i, i + 1, 64):
+                    command = f"expand --letter {i} --order {order} --format {fmt}"
+                    assert stdout_of(command) == expected
+    # Letters above the order, whose rows are the Catalan numbers alone.
+    for i, order in ((100, 64), (300, 200), (10**6, 5)):
+        coefficients = letter_gf_series(i, order).coefficients
+        for fmt in FORMATS:
+            expected = "".join(render(order, coefficients, fmt))
+            assert stdout_of(f"expand --letter {i} --order {order} --format {fmt}") == expected
+
+
+def dense_rows():
+    """V-rows with zeros inside and at the end, 1 and -1, and wide coefficients."""
+    coeffs = st.one_of(st.integers(-2, 2), st.integers(-(2**80), 2**80))
+    return st.lists(coeffs, max_size=8).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(dense_rows(), min_size=1, max_size=6))
+@example([(), (0,), (1,), (-1,), (0, 1), (0, -1), (-1, 0, 1, 0)])
+def test_v_row_text_matches_polynomial_text(rows):
+    v = monomial({V: 1})
+    polynomials = [Polynomial({k * v: c for k, c in enumerate(row)}) for row in rows]
+    render, order = catwords.cli._render_series, len(rows) - 1
+    for fmt in FORMATS:
+        expected = "".join(render(order, polynomials, fmt))
+        assert "".join(render(order, rows, fmt, _v_row_text(fmt == "json"))) == expected
 
 
 @settings(max_examples=150, deadline=None)
