@@ -7,7 +7,8 @@ coefficients at a time, never the whole series or the whole output;
 straight from the division's dense rows of V-coefficients, with the text of
 each power of V from a table; ``cfrac`` and ``rational`` write each
 polynomial from its packed keys (``Polynomial.format_json`` and
-``format_plain``).  JSON takes the layout that ``json.dumps(..., indent=2)``
+``format_plain``); both routes write terms through ``polyring``'s one plain
+and one JSON writer.  JSON takes the layout that ``json.dumps(..., indent=2)``
 gives.  A letter above the expansion order costs nothing: no word that short
 uses it, so ``expand`` prints the Catalan numbers without building the
 letter's closed form.  ``json``, ``csv`` and ``tempfile`` are imported only on

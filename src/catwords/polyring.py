@@ -127,7 +127,6 @@ def exponents(key: int) -> dict[Variable, int]:
     return {Variable(slot): e for slot, e in enumerate(_slots(key)) if e}
 
 
-@lru_cache(maxsize=1024)  # bounded: the keys of a multivariate series rarely repeat
 def monomial_str(key: int) -> str:
     """A key's monomial as printed, factors in display order: ``z^2Vv1`` or ``1``."""
     exps = _slots(key)
@@ -141,7 +140,6 @@ def _display_names(fields: int) -> tuple[tuple[int, str], ...]:
     return tuple((slot, _slot_name(slot)) for slot in [0, *range(2, fields), 1][:fields])
 
 
-@lru_cache(maxsize=1024)  # bounded: the keys of a multivariate series rarely repeat
 def _json_term_tail(depth: int, key: int) -> str:
     """What follows a term's coefficient digits in ``Polynomial.format_json(depth)``:
     the closing quote, the key's ``"monomial": {...}`` and the term's closing brace."""
@@ -161,10 +159,23 @@ def _json_names(fields: int, depth: int) -> tuple[str, ...]:
     return tuple(f',{pad3}"{_slot_name(slot)}": ' for slot in range(fields))
 
 
-def _json_array(depth: int, terms: list[str]) -> str:
-    """The array of ``Polynomial.format_json(depth)`` around its terms' texts, each
-    a coefficient's digits followed by the ``_json_term_tail`` of its key.  The
-    list is used up: framing its end terms in place saves two copies of the text."""
+def _plain_terms(coeffs: Iterable[int], names: Iterable[str]) -> str:
+    """The plain text of the terms with these coefficients and monomials' names
+    (``""`` for the unit), in the order given, zeros skipped: ``2V-V^2``.  A
+    coefficient of 1 or -1 is written as its sign alone, but on the unit."""
+    terms = [
+        f"{'+' if c > 0 else '-'}{t}" if t and c in (1, -1) else f"+{c}{t}" if c > 0 else f"{c}{t}"
+        for c, t in zip(coeffs, names)
+        if c
+    ]
+    return "".join(terms).removeprefix("+") or "0"
+
+
+def _json_array(depth: int, coeffs: Iterable[int], tails: Iterable[str]) -> str:
+    """The array of ``Polynomial.format_json(depth)`` of the terms with these
+    coefficients and ``_json_term_tail`` texts, in the order given, zeros skipped.
+    Framing the end terms in place saves two copies of the text."""
+    terms = [f"{c}{t}" for c, t in zip(coeffs, tails) if c]
     if not terms:
         return "[]"
     pad0, pad1, pad2 = ("\n" + "  " * (depth + i) for i in range(3))
@@ -340,22 +351,11 @@ class Polynomial:
         ``ascending`` reverses the canonical term order; series coefficients
         are printed that way (constant first, rising powers of V).
         """
-        if not self._terms:
-            return "0"
         items = self.sorted_terms()
         if ascending:
             items.reverse()
-        parts: list[str] = []
-        for key, coeff in items:
-            magnitude = abs(coeff)
-            if not key:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = monomial_str(key)
-            else:
-                body = f"{magnitude}{monomial_str(key)}"
-            parts.append(f"+{body}" if coeff > 0 else f"-{body}")
-        return "".join(parts).removeprefix("+")
+        names = (monomial_str(key) if key else "" for key, _ in items)
+        return _plain_terms((coeff for _, coeff in items), names)
 
     def __repr__(self) -> str:
         return self.format_plain()
@@ -367,8 +367,9 @@ class Polynomial:
         "<decimal>", "monomial": {"<name>": <exponent>, ...}}`` with the names in
         slot order, laid out as ``json.dumps(..., indent=2)`` lays out a value
         ``depth`` levels deep, written straight from the keys (nothing needs escaping)."""
-        terms = [f"{coeff}{_json_term_tail(depth, key)}" for key, coeff in self.sorted_terms()]
-        return _json_array(depth, terms)
+        items = self.sorted_terms()
+        tails = (_json_term_tail(depth, key) for key, _ in items)
+        return _json_array(depth, (coeff for _, coeff in items), tails)
 
 
 _ZERO = Polynomial._raw({})
@@ -483,25 +484,14 @@ def _v_row_text(as_json: bool) -> Callable[[Sequence[int]], str]:
     each power comes from a table that grows with the rows."""
     v = monomial({V: 1})  # a product of monomials adds their keys, so V^k has k*v
     after: list[str] = []  # by k, the text that follows the coefficient of V^k
-    # The table holds each text once: the key-text caches are bypassed.
-    tail, name = _json_term_tail.__wrapped__, monomial_str.__wrapped__
 
     def text(row: Sequence[int]) -> str:
         for k in range(len(after), len(row)):
             key = k * v
-            after.append(tail(2, key) if as_json else name(key) if k else "")
+            after.append(_json_term_tail(2, key) if as_json else monomial_str(key) if k else "")
         if as_json:
-            terms = [f"{c}{t}" for c, t in zip(reversed(row), reversed(after[: len(row)])) if c]
-            return _json_array(2, terms)
-        # A coefficient of 1 or -1 is written as its sign alone, but on V^0.
-        terms = [
-            f"{'+' if c > 0 else '-'}{t}"
-            if c in (1, -1) and t
-            else f"+{c}{t}" if c > 0 else f"{c}{t}"
-            for c, t in zip(row, after)
-            if c
-        ]
-        return "".join(terms).removeprefix("+") or "0"
+            return _json_array(2, reversed(row), reversed(after[: len(row)]))
+        return _plain_terms(row, after)
 
     return text
 

@@ -56,6 +56,8 @@ def test_functional_equation_detects_perturbation():
     coeffs = list(catalan_series(10).coefficients)
     coeffs[3] = coeffs[3] + 1
     assert not functional_equation_holds(Series(coeffs))
+    # 1 + 2z: right at z^0, wrong at z^1, and no higher coefficient to check.
+    assert not functional_equation_holds(Series([1, 2]))
 
 
 def test_series_is_inverse_of_one_minus_z_c():

@@ -693,6 +693,23 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_write_error_without_strerror_names_the_error(tmp_path, monkeypatch, capsys, to_file):
+    # An OSError made from a message alone, like OSError("quota"), has no strerror.
+    def refused(chunks, path):
+        raise OSError("quota")
+
+    monkeypatch.setattr(catwords.cli, "_write_chunks", refused)
+    target = tmp_path / "out.txt"
+    output = ["--output", str(target)] * to_file
+    # After a failed write to stdout, main points its descriptor at the null device.
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["rational", "--letter", "2", *output]) == 2
+    where = target if to_file else "stdout"
+    assert capsys.readouterr().err == f"catwords: error: cannot write {where}: quota\n"
+
+
 def test_closed_stdout_ends_quietly():
     # Like `catwords enumerate --length 11 | head -1`: 58,786 lines overflow
     # the pipe buffer, so the writer meets a closed pipe.

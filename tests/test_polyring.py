@@ -26,6 +26,7 @@ from catwords.polyring import (
 # Series division is no longer part of the package; the tests of it below check
 # the reference route that the path-sum property test in test_cfrac compares with.
 from series_reference import series_div, series_from_poly
+from plain_reference import polynomial_plain
 
 ONE = Polynomial.one()
 ZERO = Polynomial.zero()
@@ -399,6 +400,19 @@ def test_slot_order_and_display_match_reference(maps):
         assert list(exponents(key).items()) == by_slot_powers
 
 
+plain_coeffs = st.sampled_from([1, -1, 2, -2, 2**80, -(2**80)])
+
+
+@given(st.dictionaries(st.builds(monomial, power_maps), plain_coeffs))
+@example({})
+@example({monomial(): 1, monomial({Z: 1}): -1, monomial({V: 1}): 1})
+@example({monomial(): -(2**80), monomial({V: 2, letter(12): 1}): 2, monomial({C: 1}): -1})
+def test_format_plain_matches_reference(terms):
+    p = Polynomial(terms)
+    assert p.format_plain() == polynomial_plain(p)
+    assert p.format_plain(ascending=True) == polynomial_plain(p, ascending=True)
+
+
 # -- packed keys: coefficient types and the field limit -------------------------
 
 
@@ -432,14 +446,14 @@ def test_exponent_limit_raises_and_never_wraps():
     edge = Polynomial({monomial({V: top}): 1})
     assert [exponents(key) for key, _ in edge.sorted_terms()] == [{V: top}]
     assert json.loads(edge.format_json()) == [{"coeff": "1", "monomial": {"V": top}}]
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^an exponent reached 2\^31$"):
         edge * Vp
     half = Polynomial({monomial({V: 2**30, letter(1): 1}): 1})
     with pytest.raises(OverflowError):
         half * half
     with pytest.raises(OverflowError):
         half.specialize({letter(1): Polynomial({monomial({V: 2**30}): 1})})
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^exponent of V must be below 2\^31, got 2147483648$"):
         monomial({V: 2**31})
     with pytest.raises(OverflowError):
         Polynomial({monomial({V: top}) + monomial({V: 1}): 1})
